@@ -28,9 +28,9 @@ def test_broadcast_vs_p2p_rts_on_tsp(benchmark):
     def experiment():
         broadcast = run_tsp_program(instance, num_procs=NUM_PROCS, rts="broadcast")
         p2p_update = run_tsp_program(instance, num_procs=NUM_PROCS, rts="p2p",
-                                     rts_options={"protocol": "update"})
+                                     rts_options={"default_policy": "primary-update"})
         p2p_inval = run_tsp_program(instance, num_procs=NUM_PROCS, rts="p2p",
-                                    rts_options={"protocol": "invalidation"})
+                                    rts_options={"default_policy": "primary-invalidate"})
         return broadcast, p2p_update, p2p_inval
 
     broadcast, p2p_update, p2p_inval = run_once(benchmark, experiment)

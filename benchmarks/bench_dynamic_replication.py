@@ -49,14 +49,14 @@ def two_phase_main(proc):
 
 def run_with_policy(dynamic: bool):
     program = OrcaProgram(two_phase_main, ClusterConfig(num_nodes=NUM_PROCS, seed=29),
-                          rts="p2p", rts_options={"protocol": "update",
+                          rts="p2p", rts_options={"default_policy": "primary-update",
                                                   "dynamic_replication": dynamic})
     result = program.run(keep_cluster=True)
     runtime = program.runtime
     stats = {
         "elapsed": result.elapsed,
-        "copies_fetched": runtime.policy.stats.copies_fetched if dynamic else 0,
-        "copies_dropped": runtime.policy.stats.copies_dropped if dynamic else 0,
+        "copies_fetched": runtime.replication.stats.copies_fetched if dynamic else 0,
+        "copies_dropped": runtime.replication.stats.copies_dropped if dynamic else 0,
         "local_reads": runtime.stats.local_reads,
         "remote_reads": runtime.stats.remote_reads,
         "value": result.value,

@@ -31,7 +31,7 @@ OPS_PER_WORKER = 40
 CELLS = [(0.95, 1), (0.9, 1), (0.7, 1), (0.5, 4), (0.3, 6), (0.1, 8)]
 
 
-def make_program(protocol: str, read_fraction: float, burst: int) -> OrcaProgram:
+def make_program(policy: str, read_fraction: float, burst: int) -> OrcaProgram:
     def main(proc):
         shared = proc.new_object(IntObject, 0)
 
@@ -53,7 +53,7 @@ def make_program(protocol: str, read_fraction: float, burst: int) -> OrcaProgram
         return shared.read()
 
     return OrcaProgram(main, ClusterConfig(num_nodes=NUM_PROCS, seed=9), rts="p2p",
-                       rts_options={"protocol": protocol,
+                       rts_options={"default_policy": policy,
                                     "replicate_everywhere": True,
                                     "dynamic_replication": False})
 
@@ -63,8 +63,8 @@ def test_invalidation_vs_update_sweep(benchmark):
     def experiment():
         outcome = []
         for read_fraction, burst in CELLS:
-            inval = make_program("invalidation", read_fraction, burst).run().elapsed
-            update = make_program("update", read_fraction, burst).run().elapsed
+            inval = make_program("primary-invalidate", read_fraction, burst).run().elapsed
+            update = make_program("primary-update", read_fraction, burst).run().elapsed
             outcome.append((read_fraction, burst, inval, update))
         return outcome
 

@@ -4,7 +4,7 @@ The paper's point-to-point runtime loses an object when its primary's
 machine dies.  The unified runtime now elects the surviving secondary with
 the freshest coherence version (or restores the last committed record when
 no valid copy survived — the primary-invalidate worst case) through an
-epoch-stamped, totally-ordered ``takeover`` switch.  This benchmark
+epoch-stamped, totally-ordered ``switch`` record.  This benchmark
 measures what a crash costs the clients:
 
 * **unavailability window** — virtual time from the primary's crash to the

@@ -40,7 +40,7 @@ def broadcast_protocol_costs(method: str, size: int, count: int = 20):
         cluster.shutdown()
 
 
-def rts_protocol_elapsed(protocol: str, read_fraction: float):
+def rts_protocol_elapsed(policy: str, read_fraction: float):
     def main(proc):
         shared = proc.new_object(IntObject, 0)
         def worker(wproc, obj, worker_id=0):
@@ -56,7 +56,7 @@ def rts_protocol_elapsed(protocol: str, read_fraction: float):
         return shared.read()
 
     program = OrcaProgram(main, ClusterConfig(num_nodes=8, seed=5), rts="p2p",
-                          rts_options={"protocol": protocol,
+                          rts_options={"default_policy": policy,
                                        "replicate_everywhere": True,
                                        "dynamic_replication": False})
     return program.run().elapsed
@@ -76,8 +76,8 @@ def main() -> None:
     print("\nInvalidation vs two-phase update (8 machines, swept read fraction):")
     rows = []
     for read_fraction in (0.5, 0.9, 0.99):
-        inval = rts_protocol_elapsed("invalidation", read_fraction)
-        update = rts_protocol_elapsed("update", read_fraction)
+        inval = rts_protocol_elapsed("primary-invalidate", read_fraction)
+        update = rts_protocol_elapsed("primary-update", read_fraction)
         winner = "update" if update < inval else "invalidation"
         rows.append([f"{read_fraction:.2f}", f"{inval:.4f}", f"{update:.4f}", winner])
     print(format_table(["read fraction", "invalidation (s)", "update (s)", "faster"], rows))

@@ -8,8 +8,14 @@ tables over the control plane, fans the workload out to the client nodes,
 optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
 simulator's staged crashes), polls until every surviving node has quiesced —
 clients finished, no pending writes, hold-back queues empty, every member
-caught up with its shard's seat — and finally collects each node's object
-states and applied logs for the oracle's convergence check.
+caught up with its shard's seat, every killed node declared dead and its
+primary seats taken over — and finally collects each node's object states
+and applied logs for the oracle's convergence check.
+
+Kills are triggered by progress, not by the clock: the harness polls each
+victim's status and SIGKILLs it once the primaries parked there have
+applied the configured number of writes, so every staged crash lands
+mid-workload however fast or slow the host runs.
 
 Placement mirrors the simulator: object ids count from 1, id-hash placement
 assigns shards, sequencer seats go round-robin over the non-victim machines,
@@ -25,7 +31,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,11 +55,12 @@ class RealClusterConfig:
     clients_per_node: int = 1
     seed: int = 42
     timings: RealTimings = field(default_factory=RealTimings)
-    #: Node ids killed mid-run (SIGKILL), and when — seconds after the
-    #: clients start, one entry per victim.  Victims host neither clients
-    #: nor sequencer seats, mirroring the simulator's ``primary-churn``.
+    #: Node ids killed mid-run (SIGKILL), and when — after the primaries
+    #: parked on the victim have applied this many writes, one entry per
+    #: victim.  Victims host neither clients nor sequencer seats, mirroring
+    #: the simulator's ``primary-churn``.
     victims: Tuple[int, ...] = ()
-    kill_after: Tuple[float, ...] = ()
+    kill_after_writes: Tuple[int, ...] = ()
     host: str = "127.0.0.1"
     spawn_timeout: float = 30.0
     settle_timeout: float = 120.0
@@ -65,9 +71,11 @@ class RealClusterConfig:
             raise ConfigurationError("num_nodes must be >= 1")
         if self.num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
-        if len(self.kill_after) != len(self.victims):
+        if len(self.kill_after_writes) != len(self.victims):
             raise ConfigurationError(
-                "kill_after needs exactly one entry per victim")
+                "kill_after_writes needs exactly one entry per victim")
+        if any(writes < 0 for writes in self.kill_after_writes):
+            raise ConfigurationError("kill_after_writes must be >= 0")
         for victim in self.victims:
             if not 0 <= victim < self.num_nodes:
                 raise ConfigurationError(f"victim {victim} is not a node id")
@@ -145,7 +153,6 @@ class RealCluster:
         self._conns: Dict[int, NodeConnection] = {}
         self._stderr_dir: Optional[str] = None
         self._killed: List[int] = []
-        self._kill_timers: List[threading.Timer] = []
         self._started = False
 
     # -- lifecycle -------------------------------------------------------- #
@@ -240,11 +247,6 @@ class RealCluster:
                 "clients": list(range(config.clients_per_node)),
                 "op_timeout": config.op_timeout,
             }, timeout=config.spawn_timeout)
-        for victim, delay in zip(config.victims, config.kill_after):
-            timer = threading.Timer(delay, self.kill_node, args=(victim,))
-            timer.daemon = True
-            self._kill_timers.append(timer)
-            timer.start()
         self._settle()
         return self._collect()
 
@@ -266,15 +268,16 @@ class RealCluster:
         """Poll until clients are done and every survivor has quiesced."""
         config = self.config
         deadline = time.monotonic() + config.settle_timeout
-        pending_kills = set(config.victims)
+        kill_at = dict(zip(config.victims, config.kill_after_writes))
         last: Dict[int, Dict[str, Any]] = {}
         while True:
             if time.monotonic() > deadline:
                 raise NetworkError(
                     "real cluster failed to settle within "
                     f"{config.settle_timeout}s; last statuses: {last}")
-            time.sleep(0.05)
-            pending_kills -= set(self._killed)
+            # Poll fast while a kill is pending: the trigger should land
+            # close to its write count, well before the workload ends.
+            time.sleep(0.005 if kill_at else 0.05)
             statuses = {}
             for node_id in self._live_nodes():
                 conn = self._conns.get(node_id)
@@ -295,8 +298,14 @@ class RealCluster:
                       for error in status["clients"]["errors"]]
             if errors:
                 raise NetworkError("client failures:\n" + "\n".join(errors))
-            if pending_kills:
-                continue  # a scheduled crash has not happened yet
+            for victim in sorted(kill_at):
+                status = statuses.get(victim)
+                if (status is not None and status["runtime"]["primary_applied"]
+                        >= kill_at[victim]):
+                    self.kill_node(victim)
+                    del kill_at[victim]
+            if kill_at:
+                continue  # a staged crash has not happened yet
             if any(status["clients"]["clients_running"]
                    for node_id, status in statuses.items()
                    if node_id in config.client_nodes):
@@ -311,6 +320,12 @@ class RealCluster:
         for state in runtime.values():
             if (state["pending_ops"] or state["primary_pending"]
                     or state["pending_updates"]):
+                return False
+            # Every survivor must have noticed every kill, and no primary
+            # seat may still sit on a dead node: the takeovers a kill
+            # triggers are part of the run, not an afterthought.
+            if (not killed <= set(state["dead"])
+                    or not killed.isdisjoint(state["primary_seats"])):
                 return False
         for shard, seat in self.seats.items():
             seat_next = runtime[seat]["seats"][str(shard)]
@@ -355,8 +370,6 @@ class RealCluster:
     # -- teardown --------------------------------------------------------- #
 
     def shutdown(self) -> None:
-        for timer in self._kill_timers:
-            timer.cancel()
         for node_id in list(self._conns):
             conn = self._conns.pop(node_id)
             try:

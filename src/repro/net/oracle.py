@@ -377,8 +377,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenario = "primary-churn"
         victims = churn_victims(args.nodes)
         kwargs.update(victims=victims,
-                      kill_after=tuple(0.2 + 0.15 * i
-                                       for i in range(len(victims))))
+                      kill_after_writes=tuple(4 + 4 * i
+                                              for i in range(len(victims))))
         spec = ScenarioRegistry.get(scenario).default_spec()
         kwargs.update(workload=spec.with_overrides(ops_per_client=120))
     config = RealClusterConfig(

@@ -62,7 +62,7 @@ def run_real_workload(scenario: str,
                       workload: Optional[WorkloadSpec] = None,
                       num_nodes: int = 3, clients_per_node: int = 1,
                       seed: int = 42, num_shards: int = 2,
-                      victims: Any = (), kill_after: Any = (),
+                      victims: Any = (), kill_after_writes: Any = (),
                       timings: Optional[RealTimings] = None,
                       check: bool = True,
                       sim_oracle: bool = False) -> WorkloadReport:
@@ -80,7 +80,8 @@ def run_real_workload(scenario: str,
     config = RealClusterConfig(
         scenario=scenario, workload=workload, num_nodes=num_nodes,
         num_shards=num_shards, clients_per_node=clients_per_node, seed=seed,
-        victims=tuple(victims), kill_after=tuple(kill_after),
+        victims=tuple(victims),
+        kill_after_writes=tuple(kill_after_writes),
         **config_kwargs)
     expected = expected_issued_writes(config)
     oracle = record_sim_oracle(config) if sim_oracle else None

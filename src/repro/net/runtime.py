@@ -750,6 +750,15 @@ class RealRuntime:
                                    for obj in self.objects.values()),
             "dead": sorted(node for node in self.transport.node_ids
                            if not self.transport.peer_alive(node)),
+            # Writes applied by the primaries parked here (the harness's
+            # kill trigger), and every node currently seating a primary.
+            "primary_applied": sum(len(obj.applied_log)
+                                   for obj in self.objects.values()
+                                   if obj.policy == "primary-update"
+                                   and obj.primary == self.node_id),
+            "primary_seats": sorted({obj.primary
+                                     for obj in self.objects.values()
+                                     if obj.policy == "primary-update"}),
         }
 
     def collect(self) -> Dict[str, Any]:

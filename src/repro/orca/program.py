@@ -83,7 +83,8 @@ class OrcaProgram:
             between policies based on their read/write mix).
         rts_options:
             Extra keyword arguments for the unified runtime constructor
-            (e.g. ``{"protocol": "invalidation"}`` for the p2p flavour, or
+            (e.g. ``{"default_policy": "primary-invalidate"}`` for the
+            invalidation flavour of p2p, or
             ``{"num_shards": 4, "batching": True}``).
         network_type:
             ``"ethernet"`` or ``"switched"``; defaults to Ethernet for every

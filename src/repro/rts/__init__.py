@@ -17,16 +17,19 @@ objects under per-object, runtime-switchable **management policies** (see
   watches the object's read/write ratio and migrates it between the fixed
   policies at run time, in the object's broadcast total order.
 
-The classic :class:`~repro.rts.broadcast_rts.BroadcastRts` and
-:class:`~repro.rts.p2p.runtime.PointToPointRts` remain available as
-deprecated fixed-policy configurations of the unified runtime.  Everything
-exposes the same :class:`ObjectHandle`-based interface, so the Orca
-programming layer and the applications are agnostic of policy choices.
+Everything exposes the same :class:`ObjectHandle`-based interface, so the
+Orca programming layer and the applications are agnostic of policy choices.
+``HybridRts(cluster, default_policy=...)`` configures the runtime; the
+mechanisms live in one component module each (:mod:`~repro.rts.broadcast`,
+:mod:`~repro.rts.primary_copy`, :mod:`~repro.rts.reconfig`,
+:mod:`~repro.rts.recovery`, :mod:`~repro.rts.elasticity`) around the core
+in :mod:`~repro.rts.hybrid`.
 """
 
 from .object_model import ObjectSpec, OperationDef, operation
 from .manager import ObjectManager, Replica
-from .hybrid import HybridRts, MigrationRecord, ShardMoveRecord
+from .hybrid import HybridRts
+from .reconfig import MigrationRecord, ShardMoveRecord
 from .policy import (
     AdaptiveParams,
     AdaptivePolicy,

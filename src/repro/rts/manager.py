@@ -21,6 +21,7 @@ from .object_model import RETRY, ObjectSpec, OperationDef, execute_operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..amoeba.node import Node
+    from .base import ObjectHandle
 
 
 @dataclass
@@ -82,6 +83,15 @@ class ObjectManager:
                           is_primary=is_primary, version=version)
         self.replicas[obj_id] = replica
         return replica
+
+    def install_snapshot(self, handle: "ObjectHandle", state: Any, version: int,
+                         is_primary: bool = False) -> Replica:
+        """Replace this machine's copy with one rebuilt from a marshalled state."""
+        instance = handle.spec_class()
+        instance.unmarshal_state(state)
+        self.discard(handle.obj_id)
+        return self.install(handle.obj_id, handle.name, instance,
+                            is_primary=is_primary, version=version)
 
     def discard(self, obj_id: int) -> None:
         """Drop this machine's replica (dynamic replication / invalidation)."""
@@ -146,13 +156,6 @@ class ObjectManager:
             self.stats.remote_updates_applied += 1
         replica.notify_changed()
         return result
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def object_ids(self) -> List[int]:
-        return sorted(self.replicas)
 
     def __len__(self) -> int:
         return len(self.replicas)

@@ -1,11 +1,13 @@
-"""The point-to-point runtime system (no hardware broadcast required).
+"""Building blocks of the primary-copy mechanism (no hardware broadcast needed).
 
 Objects have a *primary copy* on the machine that created them; other
 machines may hold *secondary copies*.  All writes are sent to the primary,
 which propagates them to the secondaries either by **invalidation** (discard
 all other copies) or by a **two-phase update** (ship the operation, wait for
 acknowledgements, then unlock).  Which machines hold copies is decided
-dynamically from per-machine read/write-ratio statistics.
+dynamically from per-machine read/write-ratio statistics.  The mechanism
+itself runs as :class:`~repro.rts.primary_copy.PrimaryCopyPath` inside
+:class:`~repro.rts.hybrid.HybridRts`.
 """
 
 from .directory import ObjectDirectory
@@ -14,19 +16,8 @@ from .replication_policy import ReplicationPolicy
 from .update import TwoPhaseUpdateProtocol
 
 __all__ = [
-    "PointToPointRts",
     "InvalidationProtocol",
     "TwoPhaseUpdateProtocol",
     "ObjectDirectory",
     "ReplicationPolicy",
 ]
-
-
-def __getattr__(name):
-    # PointToPointRts is a shim over repro.rts.hybrid, which itself builds on
-    # this package's protocol modules; importing it lazily keeps the package
-    # importable from either direction.
-    if name == "PointToPointRts":
-        from .runtime import PointToPointRts
-        return PointToPointRts
-    raise AttributeError(name)

@@ -66,11 +66,5 @@ class ObjectDirectory:
             raise RtsError("the primary copy cannot be dropped")
         entry.copyset.discard(node_id)
 
-    def migrate_primary(self, obj_id: int, new_primary: int) -> None:
-        """Move the primary role (used when the owner node is reconfigured)."""
-        entry = self.entry(obj_id)
-        entry.primary_node = new_primary
-        entry.copyset.add(new_primary)
-
     def objects(self) -> List[int]:
         return sorted(self._entries)

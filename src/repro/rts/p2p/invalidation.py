@@ -17,6 +17,7 @@ from ..object_model import OperationDef
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sim.process import SimProcess
     from ..hybrid import HybridRts
+    from ..primary_copy import PrimaryCopyPath
 
 #: Message kinds used by the invalidation protocol.
 KIND_INVALIDATE = "p2p.invalidate"
@@ -42,8 +43,9 @@ class InvalidationProtocol:
 
     name = "invalidation"
 
-    def __init__(self, rts: "HybridRts") -> None:
-        self.rts = rts
+    def __init__(self, path: "PrimaryCopyPath") -> None:
+        self.path = path
+        self.rts = path.rts
         self.invalidations_sent = 0
         self.writes_processed = 0
 
@@ -68,16 +70,16 @@ class InvalidationProtocol:
         replica.locked = True
         try:
             if secondaries:
-                txn_id = rts.new_transaction(len(secondaries),
-                                             destinations=secondaries)
+                txn_id = self.path.new_transaction(
+                    len(secondaries), destinations=secondaries)
                 for node_id in secondaries:
                     self.invalidations_sent += 1
                     rts.stats.invalidations_sent += 1
-                    rts.send_protocol_message(
+                    self.path.send_protocol_message(
                         primary_node, node_id, KIND_INVALIDATE,
                         {"obj_id": obj_id, "txn_id": txn_id},
                     )
-                rts.await_acks(proc, txn_id)
+                self.path.await_acks(proc, txn_id)
                 # All other copies are gone now.
                 for node_id in secondaries:
                     rts.directory.remove_copy(obj_id, node_id)
@@ -96,4 +98,4 @@ class InvalidationProtocol:
         manager.invalidate(obj_id)
         manager.discard(obj_id)
         rts.stats.replicas_dropped += 1
-        rts.send_ack(node_id, payload["txn_id"])
+        self.path.send_ack(node_id, payload["txn_id"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ...config import ReplicationParams
-from ..stats import AccessStats, ReplicationDecider
+from ..stats import ReplicationDecider
 
 
 @dataclass
@@ -40,9 +40,6 @@ class ReplicationPolicy:
 
     def note_write(self, obj_id: int, node_id: int) -> None:
         self.decider.note_write(obj_id, node_id)
-
-    def access_stats(self, obj_id: int, node_id: int) -> AccessStats:
-        return self.decider.stats_for(obj_id, node_id)
 
     # -- decisions ---------------------------------------------------------- #
 

@@ -17,7 +17,7 @@ from .invalidation import live_secondaries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sim.process import SimProcess
-    from ..hybrid import HybridRts
+    from ..primary_copy import PrimaryCopyPath
 
 #: Message kinds used by the two-phase update protocol.
 KIND_UPDATE = "p2p.update"
@@ -29,8 +29,9 @@ class TwoPhaseUpdateProtocol:
 
     name = "update"
 
-    def __init__(self, rts: "HybridRts") -> None:
-        self.rts = rts
+    def __init__(self, path: "PrimaryCopyPath") -> None:
+        self.path = path
+        self.rts = path.rts
         self.updates_sent = 0
         self.unlocks_sent = 0
         self.writes_processed = 0
@@ -56,22 +57,22 @@ class TwoPhaseUpdateProtocol:
         try:
             if secondaries:
                 # Phase 1: ship the operation, wait until everyone applied it.
-                txn_id = rts.new_transaction(len(secondaries),
-                                             destinations=secondaries)
+                txn_id = self.path.new_transaction(
+                    len(secondaries), destinations=secondaries)
                 for node_id in secondaries:
                     self.updates_sent += 1
                     rts.stats.updates_sent += 1
-                    rts.send_protocol_message(
+                    self.path.send_protocol_message(
                         primary_node, node_id, KIND_UPDATE,
                         {"obj_id": obj_id, "txn_id": txn_id,
                          "op_name": op.name, "args": args,
                          "kwargs": kwargs or {}, "wid": wid},
                     )
-                rts.await_acks(proc, txn_id)
+                self.path.await_acks(proc, txn_id)
                 # Phase 2: unlock every secondary copy.
                 for node_id in secondaries:
                     self.unlocks_sent += 1
-                    rts.send_protocol_message(
+                    self.path.send_protocol_message(
                         primary_node, node_id, KIND_UNLOCK,
                         {"obj_id": obj_id, "txn_id": txn_id},
                     )
@@ -94,12 +95,12 @@ class TwoPhaseUpdateProtocol:
                                          payload["kwargs"],
                                          local_origin=False)
             manager.get(obj_id).locked = True
-            rts.record_applied(node_id, obj_id, payload.get("wid"), result)
+            self.path.record_applied(node_id, obj_id, payload.get("wid"), result)
             cpu = rts.cost_model.cpu
             rts.cluster.node(node_id).charge_overhead(
                 cpu.operation_dispatch_cost + op.work_units * cpu.work_unit_time
             )
-        rts.send_ack(node_id, payload["txn_id"])
+        self.path.send_ack(node_id, payload["txn_id"])
 
     def handle_unlock(self, node_id: int, payload: Dict[str, Any]) -> None:
         """Phase 2 at a secondary: make the copy readable again."""

@@ -108,11 +108,11 @@ FIXED_POLICIES = {
 #: Runtime-kind spelling -> the default policy that kind configures the
 #: unified runtime with.  Shared by every layer that accepts a runtime kind
 #: (OrcaProgram's ``rts=``, WorkloadRunner's ``runtime=``) so they cannot
-#: drift.  ``"primary"`` resolves to the runtime's configured coherence
-#: protocol flavour.
+#: drift.  ``"p2p"`` runs the two-phase update flavour; pass
+#: ``default_policy="primary-invalidate"`` for the invalidation one.
 DEFAULT_POLICY_FOR_KIND = {
     "broadcast": "broadcast",
-    "p2p": "primary",
+    "p2p": "primary-update",
     "adaptive": "adaptive",
 }
 

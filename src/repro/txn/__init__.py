@@ -59,6 +59,8 @@ class TransactionLayer:
         self._pinned: Dict[int, int] = {}
         self.participant = TxnParticipant(self)
         self.coordinator = TxnCoordinator(self)
+        for kind in sorted(TXN_KINDS):
+            rts.register_delivery(kind, self.on_deliver)
         # A pure-broadcast cluster never installs the primary-copy crash
         # services, so the layer listens for crashes itself.  Where the
         # runtime's own crash handler also runs (and calls on_node_crash
@@ -74,9 +76,10 @@ class TransactionLayer:
 
     # -- hooks called from HybridRts ------------------------------------
 
-    def on_deliver(self, node_id: int, payload, origin: int,
-                   seqno: int) -> None:
-        self.participant.process(node_id, payload, origin, seqno)
+    def on_deliver(self, node_id: int, shard: int, delivered) -> None:
+        """Delivery handler of every ``txn-*`` record kind."""
+        self.participant.process(node_id, delivered.payload, delivered.origin,
+                                 delivered.seqno)
 
     def defer_write(self, node_id: int, obj_id: int, entry) -> bool:
         return self.participant.defer_write(node_id, obj_id, entry)
@@ -149,8 +152,8 @@ class TransactionLayer:
             origin = f"txn:{desc.txn_id}#{index}"
             primary = rts.directory.primary_of(obj_id)
             if primary is not None:
-                rts._applied_table(primary, obj_id).pop(origin, None)
-            committed_record = rts._last_committed.get(obj_id)
+                rts.pcopy.applied_table(primary, obj_id).pop(origin, None)
+            committed_record = rts.pcopy.last_committed.get(obj_id)
             if committed_record is not None:
                 committed_record[2].pop(origin, None)
         if committed:

@@ -78,7 +78,7 @@ class TxnCoordinator:
             if (detail is not None
                     and rts._mechanism_of(detail) == MECHANISM_BROADCAST
                     and rts.managers[node.node_id].has_valid_copy(detail)):
-                rts._wait_for_change(proc, node.node_id, detail)
+                rts.bcast.wait_for_change(proc, node.node_id, detail)
             else:
                 proc.hold(rts.cost_model.cpu.protocol_cost * 4)
 
@@ -282,7 +282,7 @@ class TxnCoordinator:
         for index, obj_id, op_name, args, kwargs in desc.primary_ops:
             handle = rts.handle(obj_id)
             op = handle.spec_class.operation_def(op_name)
-            result = rts._primary_write(
+            result = rts.pcopy.write(
                 proc, node.node_id, handle, op, args, kwargs,
                 wid=txn_wid(desc.txn_id, index, obj_id))
             if result is RETRY:
@@ -306,7 +306,7 @@ class TxnCoordinator:
         rts = self.layer.rts
         epoch = rts._epoch_by_obj.get(obj_id, 0)
         if rts._mechanism_of(obj_id) != MECHANISM_BROADCAST:
-            from ..rts.hybrid import MIGRATED
+            from ..rts.broadcast import MIGRATED
 
             return MIGRATED
         shard = rts.shard_of(rts.handle(obj_id))
@@ -328,7 +328,7 @@ class TxnCoordinator:
                           obj_id=None, epoch: int = 0) -> Any:
         """Broadcast one txn record and await its local delivery result."""
         rts = self.layer.rts
-        from ..rts.hybrid import _PendingWrite
+        from ..rts.broadcast import _PendingWrite
 
         invocation_id = next(rts._invocation_ids)
         proc.absorb_overhead(node.drain_overhead())
@@ -355,17 +355,17 @@ class TxnCoordinator:
         while True:
             # Wait out any reconfiguration that slipped past pins() before
             # this descriptor registered; none can start afterwards.
-            if (obj_id in rts._migrate_in_progress
+            if (obj_id in rts.reconfig.in_progress
                     or (obj_id in rts._migrating
                         and not rts._migration_settled(obj_id))
-                    or obj_id in rts._frozen):
+                    or obj_id in rts.pcopy.frozen):
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
             primary = rts.directory.primary_of(obj_id)
             if not rts.cluster.node(primary).alive:
-                rts._await_recovery(proc, obj_id)
+                rts.pcopy.await_recovery(proc, obj_id)
                 continue
-            if rts._inflight_writes.get((primary, obj_id)):
+            if rts.pcopy.inflight_writes.get((primary, obj_id)):
                 proc.hold(rts.cost_model.cpu.protocol_cost)
                 continue
             manager = rts.managers[primary]
@@ -385,7 +385,7 @@ class TxnCoordinator:
         the primary copy, so a passing guard here still passes there.
         """
         rts = self.layer.rts
-        from ..rts.hybrid import MIGRATED
+        from ..rts.broadcast import MIGRATED
         from ..rts.object_model import execute_operation
         from ..rts.policy import MECHANISM_PRIMARY
 
@@ -394,7 +394,7 @@ class TxnCoordinator:
                 return MIGRATED
             primary = rts.directory.primary_of(obj_id)
             if not rts.cluster.node(primary).alive:
-                rts._await_recovery(proc, obj_id)
+                rts.pcopy.await_recovery(proc, obj_id)
                 continue
             manager = rts.managers[primary]
             if not manager.has_valid_copy(obj_id):

@@ -112,7 +112,7 @@ class TxnParticipant:
                 # at every member; the origin re-groups and re-issues.
                 self._drop_own_barriers(node_id, txn_id, entries)
                 if origin == node_id:
-                    from ..rts.hybrid import MIGRATED
+                    from ..rts.broadcast import MIGRATED
 
                     rts._resolve(invocation_id, MIGRATED)
                 return
@@ -186,7 +186,7 @@ class TxnParticipant:
         if epoch < gate:
             self._drop_own_barrier(node_id, txn_id, obj_id)
             if origin == node_id:
-                from ..rts.hybrid import MIGRATED
+                from ..rts.broadcast import MIGRATED
 
                 rts._resolve(invocation_id, MIGRATED)
             return
@@ -303,10 +303,10 @@ class TxnParticipant:
             if locks.get(node_id, obj_id) is not None:
                 continue  # already barriered by an earlier deferral
             entry = locks.lock(node_id, obj_id, txn_id, MODE_BARRIER)
-            for write in rts._future_writes.pop((node_id, obj_id), []):
+            for write in rts.bcast.future_writes.pop((node_id, obj_id), []):
                 entry.queue.append((ITEM_WRITE,) + tuple(write))
         locks.enqueue(node_id, future_obj, (ITEM_RECORD, payload, origin, seqno))
-        rts._arm_lag_probe(node_id, future_obj)
+        rts.pcopy.arm_lag_probe(node_id, future_obj)
 
     def _drop_own_barrier(self, node_id: int, txn_id: int, obj_id: int) -> None:
         locks = self.layer.locks
@@ -337,10 +337,10 @@ class TxnParticipant:
             if item[0] == ITEM_WRITE:
                 (op_name, args, kwargs, invocation_id, epoch, origin,
                  seqno) = item[1:]
-                rts._apply_one(node_id, rts.managers[node_id],
-                               rts.cluster.node(node_id), obj_id, op_name,
-                               args, kwargs, invocation_id, epoch, origin,
-                               seqno)
+                rts.bcast.apply_one(node_id, rts.managers[node_id],
+                                    rts.cluster.node(node_id), obj_id,
+                                    op_name, args, kwargs, invocation_id,
+                                    epoch, origin, seqno)
             else:
                 _, payload, origin, seqno = item
                 self.process(node_id, payload, origin, seqno)

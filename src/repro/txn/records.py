@@ -89,7 +89,3 @@ class TxnDescriptor:
     #: Node running the recovery pass for this transaction, if any.
     recovery_node: Optional[int] = None
     done: bool = False
-
-    @property
-    def needs_recovery(self) -> bool:
-        return not self.done

@@ -99,7 +99,7 @@ def _recovery_body(layer, desc) -> None:
         for index, obj_id, op_name, args, kwargs in desc.primary_ops:
             handle = rts.handle(obj_id)
             op = handle.spec_class.operation_def(op_name)
-            result = rts._primary_write(
+            result = rts.pcopy.write(
                 proc, node.node_id, handle, op, args, kwargs,
                 wid=txn_wid(desc.txn_id, index, obj_id))
             if result is RETRY:  # pragma: no cover - protocol invariant

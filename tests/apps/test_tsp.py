@@ -134,5 +134,5 @@ class TestOrcaTsp:
         instance = random_instance(7, seed=6)
         sequential = solve_sequential(instance)
         result = run_tsp_program(instance, num_procs=3, rts="p2p",
-                                 rts_options={"protocol": "update"})
+                                 rts_options={"default_policy": "primary-update"})
         assert result.value.best_length == sequential.best_length

@@ -35,6 +35,10 @@ BASELINES = {
     # wheel, event pooling, batched broadcast delivery, fast hold) at the
     # 8/16/64-node scales where those optimisations actually engage.
     "bench_kernel_scaling.py": "kernel_scaling.json",
+    # The gateway tier attaches its report block lazily; its flash-crowd,
+    # noisy-neighbour and scale cells pin admission, shedding and fair
+    # queueing on top of the runtime.
+    "bench_gateway.py": "gateway.json",
 }
 
 

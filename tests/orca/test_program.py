@@ -263,7 +263,7 @@ class TestP2pProgramIntegration:
         broadcast = OrcaProgram(main, ClusterConfig(num_nodes=4, seed=6),
                                 rts="broadcast").run()
         p2p_update = OrcaProgram(main, ClusterConfig(num_nodes=4, seed=6),
-                                 rts="p2p", rts_options={"protocol": "update"}).run()
+                                 rts="p2p", rts_options={"default_policy": "primary-update"}).run()
         p2p_inval = OrcaProgram(main, ClusterConfig(num_nodes=4, seed=6),
-                                rts="p2p", rts_options={"protocol": "invalidation"}).run()
+                                rts="p2p", rts_options={"default_policy": "primary-invalidate"}).run()
         assert broadcast.value == p2p_update.value == p2p_inval.value == 20

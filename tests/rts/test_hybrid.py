@@ -1,10 +1,8 @@
 """Integration tests for the unified runtime: per-object policies, live
-migration, the adaptive controller, back-compat shims, and the reconciled
-per-object statistics."""
+migration, the adaptive controller, the fixed-policy configurations, and
+the reconciled per-object statistics."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -13,10 +11,8 @@ from repro.config import ClusterConfig
 from repro.errors import RtsError
 from repro.orca.builtin_objects import DictObject, IntObject
 from repro.orca.program import OrcaProgram
-from repro.rts.broadcast_rts import BroadcastRts
 from repro.rts.hybrid import HybridRts
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.p2p.runtime import PointToPointRts
 from repro.rts.policy import AdaptiveParams
 
 
@@ -119,7 +115,7 @@ class TestPerObjectPolicies:
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=1),
                           network_type="switched")
         with cluster:
-            rts = HybridRts(cluster, default_policy="primary")
+            rts = HybridRts(cluster, default_policy="primary-update")
             handles = {}
 
             def main():
@@ -217,7 +213,7 @@ class TestExplicitMigration:
         cluster = Cluster(ClusterConfig(num_nodes=3, seed=47),
                           network_type="switched")
         with cluster:
-            rts = HybridRts(cluster, default_policy="primary")
+            rts = HybridRts(cluster, default_policy="primary-update")
             handles = {}
 
             def main():
@@ -325,16 +321,17 @@ class TestMigrationRaces:
         while live secondaries are still applying)."""
         cluster, rts = make_hybrid(n=4, seed=41)
         with cluster:
-            txn_id = rts.new_transaction(2, destinations=[1, 2])
-            rts._on_node_crash(1)
-            assert rts._transactions[txn_id].remaining == 1
+            pcopy = rts.pcopy
+            round_id = pcopy.new_transaction(2, destinations=[1, 2])
+            pcopy._on_node_crash(1)
+            assert pcopy.rounds[round_id].remaining == 1
             # The crashed node's ack arrives anyway (it left the wire before
             # the crash): no further decrement.
-            rts._on_ack(0, {"txn_id": txn_id, "node": 1})
-            assert rts._transactions[txn_id].remaining == 1
-            # The live secondary's ack completes the transaction.
-            rts._on_ack(0, {"txn_id": txn_id, "node": 2})
-            assert rts._transactions[txn_id].remaining == 0
+            pcopy._on_ack(0, {"txn_id": round_id, "node": 1})
+            assert pcopy.rounds[round_id].remaining == 1
+            # The live secondary's ack completes the fan-out.
+            pcopy._on_ack(0, {"txn_id": round_id, "node": 2})
+            assert pcopy.rounds[round_id].remaining == 0
 
     def test_concurrent_migrate_calls_perform_one_migration(self):
         """A second migrate() issued while the first is suspended in its
@@ -471,80 +468,28 @@ class TestAdaptiveMigration:
         assert run_once() == run_once()
 
 
-class TestDeprecatedShims:
-    def test_broadcast_shim_warns_once_and_behaves(self):
-        cluster = Cluster(ClusterConfig(num_nodes=3, seed=3))
-        with cluster:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rts = BroadcastRts(cluster)
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "HybridRts" in str(deprecations[0].message)
-            assert isinstance(rts, HybridRts)
-            assert rts.name == "broadcast-rts"
-            assert rts.default_policy.name == "broadcast"
-
-    def test_p2p_shim_warns_once_and_behaves(self):
-        cluster = Cluster(ClusterConfig(num_nodes=3, seed=3),
-                          network_type="switched")
-        with cluster:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rts = PointToPointRts(cluster, protocol="invalidation")
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "HybridRts" in str(deprecations[0].message)
-            assert rts.name == "p2p-rts"
-            assert rts.default_policy.name == "primary-invalidate"
-            # The classic attribute names still resolve.
-            assert rts.policy is rts.replication
-            assert rts.protocol.name == "invalidation"
-
-    def test_subclasses_of_the_shims_do_not_warn(self):
+class TestFixedPolicyConfigurations:
+    def test_central_server_is_a_fixed_primary_copy_runtime(self):
         from repro.baselines.central_server import CentralServerRts
 
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=3),
                           network_type="switched")
         with cluster:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                CentralServerRts(cluster)
-            assert not [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
+            rts = CentralServerRts(cluster)
+            assert isinstance(rts, HybridRts)
+            assert rts.name == "central-server-rts"
+            assert rts.default_policy.name == "primary-update"
+            assert not rts.dynamic_replication
 
-    def test_shim_matches_unified_runtime_exactly(self):
-        """A fixed-policy HybridRts and the shim produce identical runs."""
-        def run_with(factory):
-            cluster = Cluster(ClusterConfig(num_nodes=3, seed=17))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                rts = factory(cluster)
-            handles = {}
+    def test_primary_alias_is_rejected(self):
+        """Only the explicit coherence flavours name a primary-copy policy."""
+        from repro.errors import ConfigurationError
 
-            def main():
-                proc = cluster.sim.current_process
-                handles["c"] = rts.create_object(proc, Register, (0,))
-
-            def writer(node_id):
-                def body():
-                    proc = cluster.sim.current_process
-                    for _ in range(8):
-                        rts.invoke(proc, handles["c"], "add", (1,))
-                return body
-
-            run_threads(cluster, [(0, main)])
-            run_threads(cluster, [(n, writer(n)) for n in range(3)])
-            digest = (cluster.sim.now, cluster.network.stats.messages_sent,
-                      rts.read_write_summary())
-            cluster.shutdown()
-            return digest
-
-        shim = run_with(lambda c: BroadcastRts(c))
-        unified = run_with(lambda c: HybridRts(c, default_policy="broadcast"))
-        assert shim == unified
+        cluster = Cluster(ClusterConfig(num_nodes=2, seed=3),
+                          network_type="switched")
+        with cluster:
+            with pytest.raises(ConfigurationError):
+                HybridRts(cluster, default_policy="primary")
 
 
 class TestReconciledObjectSummary:

@@ -8,7 +8,7 @@ from repro.amoeba.cluster import Cluster
 from repro.config import ClusterConfig, CostModel, ReplicationParams
 from repro.errors import ConfigurationError
 from repro.rts.object_model import ObjectSpec, operation
-from repro.rts.p2p.runtime import PointToPointRts
+from repro.rts.hybrid import HybridRts
 
 
 class Register(ObjectSpec):
@@ -30,7 +30,7 @@ class Register(ObjectSpec):
         return self.value
 
 
-def make_rts(n=4, seed=3, protocol="update", dynamic=True, everywhere=False,
+def make_rts(n=4, seed=3, policy="primary-update", dynamic=True, everywhere=False,
              network_type="switched", replication_params=None):
     overrides = {}
     if replication_params is not None:
@@ -38,8 +38,8 @@ def make_rts(n=4, seed=3, protocol="update", dynamic=True, everywhere=False,
     cost_model = CostModel().with_overrides(**overrides) if overrides else CostModel()
     cluster = Cluster(ClusterConfig(num_nodes=n, seed=seed, cost_model=cost_model),
                       network_type=network_type)
-    rts = PointToPointRts(cluster, protocol=protocol, dynamic_replication=dynamic,
-                          replicate_everywhere=everywhere)
+    rts = HybridRts(cluster, default_policy=policy, dynamic_replication=dynamic,
+                    replicate_everywhere=everywhere)
     return cluster, rts
 
 
@@ -72,7 +72,7 @@ class TestCreationAndPlacement:
         cluster2 = Cluster(ClusterConfig(num_nodes=2, seed=1), network_type="switched")
         with cluster2:
             with pytest.raises(ConfigurationError):
-                PointToPointRts(cluster2, protocol="bogus")
+                HybridRts(cluster2, default_policy="primary-bogus")
 
     def test_replicate_everywhere_installs_all_copies(self):
         cluster, rts = make_rts(4, everywhere=True, dynamic=False)
@@ -165,7 +165,7 @@ class TestReadsAndWrites:
 
 class TestUpdateProtocol:
     def test_update_refreshes_secondaries(self):
-        cluster, rts = make_rts(4, protocol="update", everywhere=True, dynamic=False)
+        cluster, rts = make_rts(4, policy="primary-update", everywhere=True, dynamic=False)
         with cluster:
             handles = {}
 
@@ -183,7 +183,7 @@ class TestUpdateProtocol:
             assert rts.stats.updates_sent == 3
 
     def test_update_keeps_copies_readable_locally_afterwards(self):
-        cluster, rts = make_rts(3, protocol="update", everywhere=True, dynamic=False)
+        cluster, rts = make_rts(3, policy="primary-update", everywhere=True, dynamic=False)
         with cluster:
             handles = {}
             results = []
@@ -210,7 +210,7 @@ class TestUpdateProtocol:
 
 class TestInvalidationProtocol:
     def test_invalidation_discards_secondaries(self):
-        cluster, rts = make_rts(4, protocol="invalidation", everywhere=True, dynamic=False)
+        cluster, rts = make_rts(4, policy="primary-invalidate", everywhere=True, dynamic=False)
         with cluster:
             handles = {}
 
@@ -228,7 +228,7 @@ class TestInvalidationProtocol:
             assert rts.stats.invalidations_sent == 3
 
     def test_read_after_invalidation_fetches_from_primary(self):
-        cluster, rts = make_rts(3, protocol="invalidation", everywhere=True, dynamic=False)
+        cluster, rts = make_rts(3, policy="primary-invalidate", everywhere=True, dynamic=False)
         with cluster:
             handles = {}
             results = []
@@ -275,7 +275,7 @@ class TestDynamicReplication:
             obj_id = handles["reg"].obj_id
             assert rts.managers[2].has_valid_copy(obj_id)
             assert 2 in rts.directory.copyset_of(obj_id)
-            assert rts.policy.stats.copies_fetched >= 1
+            assert rts.replication.stats.copies_fetched >= 1
             # Once the copy exists, later reads are local.
             assert rts.stats.local_reads > 0
 
@@ -302,7 +302,7 @@ class TestDynamicReplication:
             obj_id = handles["reg"].obj_id
             assert not rts.managers[2].has_valid_copy(obj_id)
             assert 2 not in rts.directory.copyset_of(obj_id)
-            assert rts.policy.stats.copies_dropped >= 1
+            assert rts.replication.stats.copies_dropped >= 1
 
     def test_final_value_correct_despite_replication_churn(self):
         cluster, rts = make_rts(4, dynamic=True)

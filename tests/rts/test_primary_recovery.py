@@ -4,7 +4,7 @@ A primary-copy object used to die with its primary (as in the paper); the
 unified runtime now elects the surviving secondary with the freshest
 coherence version (ties to the lowest node id) — or restores the last
 committed record when no valid copy survived, the primary-invalidate worst
-case — and re-seats the object through an epoch-stamped ``takeover`` switch
+case — and re-seats the object through an epoch-stamped ``switch`` record
 in the object's shard order.  These tests drive randomized multi-writer
 workloads (hypothesis seeds) into a primary crash that races, in turn: the
 writes themselves, a policy migration, a cross-group shard move, and a
