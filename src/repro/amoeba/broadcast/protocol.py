@@ -193,10 +193,6 @@ class OrderingEngine:
             candidates.append(max(self._pending_accepts))
         return max(candidates)
 
-    @property
-    def buffered_count(self) -> int:
-        return len(self._ordered_buffer)
-
     def buffered_messages(self) -> List[DeliveredMessage]:
         """Sequenced-but-undelivered messages (used for sequencer recovery)."""
         return list(self._ordered_buffer.values())

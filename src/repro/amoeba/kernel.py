@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..sim.events import Event
 from ..sim.process import SimProcess
-from ..sim.sync import SimCondition, SimLock, SimSemaphore
 from .segments import SegmentManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -23,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class AmoebaKernel:
-    """Per-node kernel services: threads, segments, timers, synchronization."""
+    """Per-node kernel services: threads, segments, timers."""
 
     def __init__(self, node: "Node", memory_bytes: int = 64 * 1024 * 1024) -> None:
         self.node = node
@@ -66,23 +65,6 @@ class AmoebaKernel:
         self.node.processes.append(proc)
         return proc
 
-    def live_threads(self) -> List[SimProcess]:
-        """Threads on this node that have not yet terminated."""
-        return [t for t in self.threads if t.alive]
-
-    # ------------------------------------------------------------------ #
-    # Synchronization objects (factory helpers)
-    # ------------------------------------------------------------------ #
-
-    def new_lock(self, name: str = "lock") -> SimLock:
-        return SimLock(self.sim, name=f"n{self.node.node_id}:{name}")
-
-    def new_condition(self, lock: SimLock, name: str = "cond") -> SimCondition:
-        return SimCondition(lock, name=f"n{self.node.node_id}:{name}")
-
-    def new_semaphore(self, value: int = 0, name: str = "sem") -> SimSemaphore:
-        return SimSemaphore(self.sim, value, name=f"n{self.node.node_id}:{name}")
-
     # ------------------------------------------------------------------ #
     # Timers
     # ------------------------------------------------------------------ #
@@ -108,7 +90,3 @@ class AmoebaKernel:
         event = self._timers.pop(timer_id, None)
         if event is not None:
             self.sim.cancel(event)
-
-    @property
-    def active_timers(self) -> int:
-        return len(self._timers)

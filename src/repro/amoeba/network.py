@@ -282,7 +282,3 @@ class SwitchedNetwork(BaseNetwork):
                     on_sent(pkt.message)
 
             link.use(duration, _on_wire_done)
-
-    def link_utilization(self, node_id: int) -> float:
-        """Utilization of one node's output link."""
-        return self._links[node_id].utilization()

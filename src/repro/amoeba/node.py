@@ -54,7 +54,6 @@ class Node:
         self.stats = NodeStats()
         self.alive = True
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._default_handler: Optional[Callable[[Message], None]] = None
         #: CPU overhead accrued by protocol processing that has not yet been
         #: absorbed into an application process's virtual time.
         self._overhead_pending = 0.0
@@ -86,13 +85,6 @@ class Node:
             raise NetworkError(f"node {self.node_id} already has a handler for {kind!r}")
         self._handlers[kind] = handler
 
-    def unregister_handler(self, kind: str) -> None:
-        self._handlers.pop(kind, None)
-
-    def set_default_handler(self, handler: Callable[[Message], None]) -> None:
-        """Handler for message kinds with no exact registration."""
-        self._default_handler = handler
-
     def dispatch(self, msg: Message) -> None:
         """Deliver a fully reassembled message to its registered handler."""
         if not self.alive:
@@ -101,7 +93,7 @@ class Node:
         self.stats.handler_invocations[msg.kind] = (
             self.stats.handler_invocations.get(msg.kind, 0) + 1
         )
-        handler = self._handlers.get(msg.kind, self._default_handler)
+        handler = self._handlers.get(msg.kind)
         if handler is None:
             raise NetworkError(
                 f"node {self.node_id} received {msg.kind!r} but has no handler for it"

@@ -53,10 +53,6 @@ class BroadcastError(ReproError):
     """Errors raised by the totally-ordered broadcast protocols."""
 
 
-class SequencerUnavailableError(BroadcastError):
-    """Raised when no sequencer is available and election is disabled."""
-
-
 class RtsError(ReproError):
     """Errors raised by the shared-object runtime systems."""
 
@@ -80,29 +76,6 @@ class ConsistencyViolationError(RtsError):
 
 class OrcaError(ReproError):
     """Errors raised by the Orca programming layer."""
-
-
-class OrcaTypeError(OrcaError):
-    """Raised by the Orca mini-language type checker."""
-
-
-class OrcaSyntaxError(OrcaError):
-    """Raised by the Orca mini-language parser."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        base = super().__str__()
-        if self.line:
-            return f"{base} (line {self.line}, column {self.column})"
-        return base
-
-
-class OrcaRuntimeError(OrcaError):
-    """Raised when an Orca mini-language program fails at run time."""
 
 
 class ApplicationError(ReproError):

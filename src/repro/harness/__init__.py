@@ -1,13 +1,7 @@
-"""Experiment orchestration used by the benchmark suite and the examples."""
+"""Figure rendering used by the benchmark suite and the examples."""
 
-from .experiment import ScalingExperiment, ExperimentResult
-from .sweeps import ParameterSweep, workload_run_collection
 from .figures import render_speedup_figure
 
 __all__ = [
-    "ScalingExperiment",
-    "ExperimentResult",
-    "ParameterSweep",
-    "workload_run_collection",
     "render_speedup_figure",
 ]

@@ -1,12 +1,9 @@
-"""Measurement utilities: speedup curves, run summaries, and report formatting."""
+"""Measurement utilities: speedup curves and report formatting."""
 
-from .collectors import RunRecord, RunCollection
 from .report import ascii_plot, format_table
 from .speedup import SpeedupCurve, speedup_from_times
 
 __all__ = [
-    "RunRecord",
-    "RunCollection",
     "SpeedupCurve",
     "speedup_from_times",
     "format_table",

@@ -2,7 +2,7 @@
 
 :class:`RealCluster` owns the whole life cycle of one real run: it computes
 the deterministic object table by replaying the scenario's setup against a
-:class:`~repro.net.rts_adapter.RecordingRts`, spawns one
+:class:`~repro.net.rts_adapter.ProbeRts`, spawns one
 ``repro.net.node_process`` child per node, distributes the peer/seat/object
 tables over the control plane, fans the workload out to the client nodes,
 optionally SIGKILLs victim nodes mid-run (the real-socket analogue of the
@@ -37,10 +37,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NetworkError
 from ..rts.sharding import HashPlacement
-from ..workloads.scenarios import ScenarioRegistry
+from ..workloads.scenarios import Scenario, ScenarioRegistry
 from ..workloads.spec import WorkloadSpec
 from .control import NodeConnection
-from .rts_adapter import RecordingRts, spec_to_payload
+from .rts_adapter import ProbeRts, map_policy, spec_to_payload
 from .runtime import RealTimings
 
 
@@ -104,19 +104,24 @@ class RealClusterConfig:
         return {shard: hosts[shard % len(hosts)]
                 for shard in range(self.num_shards)}
 
-    def build_object_table(self) -> List[Dict[str, Any]]:
-        """Replay setup against the recording stub; place and seat objects."""
+    def replay_setup(self) -> Tuple[Scenario, ProbeRts]:
+        """The scenario, with its ``setup`` replayed against a fresh probe."""
         scenario = ScenarioRegistry.create(self.scenario, self.spec)
-        recorder = RecordingRts()
-        scenario.setup(recorder, None)
+        probe = ProbeRts()
+        scenario.setup(probe, None)
+        return scenario, probe
+
+    def build_object_table(self) -> List[Dict[str, Any]]:
+        """Replay setup against the probe; map policies, place and seat."""
+        _scenario, probe = self.replay_setup()
         placement = HashPlacement(self.num_shards, by="id")
         seats = self.seats()
         primary_hosts = (list(self.victims) if self.victims
                          else list(range(self.num_nodes)))
         next_primary = 0
         rows = []
-        for row in recorder.rows:
-            row = dict(row)
+        for row in probe.rows:
+            row = dict(row, policy=map_policy(row["policy"]))
             shard = placement.shard_of(row["obj_id"], row["name"])
             row["shard"] = shard
             if row["policy"] == "primary-update":

@@ -9,9 +9,10 @@ harness commands one at a time:
     then start the protocol engine (heartbeats, failure monitor, beacons).
 ``run_clients``
     Replay the scenario's setup against the local replicas (handle binding),
-    then launch one OS thread per client.  Each client replays exactly the
-    request stream its simulated twin draws — same named rng stream, same
-    draw order — so the write multiset is identical across backends.
+    then launch one OS thread per client.  Each client consumes the
+    :func:`~repro.workloads.spec.client_schedule` its simulated twin
+    consumes, from the same named rng stream, so the write multiset is
+    identical across backends.
     Returns immediately; the harness polls ``status`` for completion.
 ``status``
     Client progress plus the engine's quiescence counters.
@@ -20,12 +21,9 @@ harness commands one at a time:
 ``shutdown``
     Stop the engine and exit.
 
-Client loops intentionally reproduce the *draw order* of the simulator's
-client bodies: the think-time and open-loop arrival draws come from the same
-rng stream as the requests, so skipping them would derail every subsequent
-request.  Timing itself is advisory — closed-loop pacing sleeps (bounded)
-real time, open-loop arrivals are issued back to back — because the oracle
-compares converged state, not timing.
+Timing is advisory on this backend — closed-loop pacing sleeps (bounded)
+real time, open-loop and trace arrivals are issued back to back — because
+the oracle compares converged state, not timing.
 """
 
 from __future__ import annotations
@@ -39,14 +37,14 @@ from typing import Any, Dict, List
 
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import Scenario, ScenarioRegistry
-from ..workloads.spec import WorkloadSpec, request_stream, traced_request_stream
+from ..workloads.spec import CLOSED, WorkloadSpec, client_schedule
 from .control import AsyncControlChannel
 from .rts_adapter import ClientProc, RealRtsFacade, spec_from_payload
 from .runtime import RealRuntime, RealTimings
 from .udp import UdpTransport
 
 #: Ceiling on one closed-loop think-time sleep, so a long exponential draw
-#: cannot stall a CI run (the draw still happens — stream alignment first).
+#: cannot stall a CI run.
 MAX_THINK_SLEEP = 0.05
 
 
@@ -98,21 +96,8 @@ def _client_loop(facade: RealRtsFacade, scenario: Scenario,
     rng = RngRegistry(seed).stream(
         f"workload.client.{proc.node_id}.{proc.client_id}")
     try:
-        if spec.arrival_trace:
-            for request, _arrival in traced_request_stream(spec, rng):
-                scenario.perform(facade, proc, request)
-                pool.note(request.is_write)
-            return
-        phases = spec.resolved_phases()
-        open_loop = spec.client_model == "open"
-        for request in request_stream(spec, rng):
-            phase = phases[request.phase]
-            if open_loop:
-                # Draw (and discard) the arrival gap the simulated client
-                # draws here, keeping the shared rng stream aligned.
-                rng.expovariate(phase.arrival_rate)
-            elif phase.think_time > 0.0:
-                delay = rng.expovariate(1.0 / phase.think_time)
+        for request, timing, delay in client_schedule(spec, rng):
+            if timing == CLOSED and delay > 0.0:
                 time.sleep(min(delay, MAX_THINK_SLEEP))
             scenario.perform(facade, proc, request)
             pool.note(request.is_write)

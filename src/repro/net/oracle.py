@@ -8,7 +8,7 @@ checkable:
 
 * :func:`record_sim_oracle` runs the identical workload on the simulator and
   keeps the per-object write counts and the scenario's validated facts;
-* :func:`expected_issued_writes` replays the request streams through the
+* :func:`expected_issued_writes` replays the client schedules through the
   scenario's own ``perform`` against in-memory objects, recording each
   client's ordered write list (the ``cseq`` ground truth) and, for
   commutative scenarios, the exact expected final states;
@@ -27,18 +27,16 @@ order-insensitive ones both must agree on.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..rts.base import ObjectHandle
-from ..rts.object_model import ObjectSpec, execute_operation
 from ..sim.rng import RngRegistry
 from ..workloads.scenarios import ScenarioRegistry
-from ..workloads.spec import request_stream, traced_request_stream
-from .harness import RealCluster, RealClusterConfig
+from ..workloads.spec import client_schedule
+from .harness import RealClusterConfig
+from .rts_adapter import ClientProc
 from .wire import jsonify
 
 #: Scenario kinds whose writes commute, so the stream replay predicts the
@@ -98,89 +96,20 @@ def record_sim_oracle(config: RealClusterConfig,
 
 
 # ---------------------------------------------------------------------- #
-# Replaying the request streams (backend-independent ground truth)
+# Replaying the client schedules (backend-independent ground truth)
 # ---------------------------------------------------------------------- #
 
 
-class _ProbeRts:
-    """In-memory RuntimeSystem stand-in: applies operations immediately.
-
-    Shared instances give scenario ``perform`` implementations working
-    return values; every write operation is also recorded against the
-    issuing client in issue order — the ground truth the exactly-once and
-    FIFO checks compare applied logs against.
-    """
-
-    def __init__(self) -> None:
-        self.instances: Dict[int, ObjectSpec] = {}
-        self.names: Dict[int, str] = {}
-        self.client_writes: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
-        self.put_values: List[Any] = []
-        self._ids = itertools.count(1)
-
-    def create_object(self, proc: Any, spec_class: Type[ObjectSpec],
-                      args: Tuple[Any, ...] = (),
-                      kwargs: Optional[Dict[str, Any]] = None,
-                      name: Optional[str] = None,
-                      policy: Any = None) -> ObjectHandle:
-        obj_id = next(self._ids)
-        if name is None:
-            name = f"{spec_class.__name__}#{obj_id}"
-        self.instances[obj_id] = spec_class.create(tuple(args),
-                                                   dict(kwargs or {}))
-        self.names[obj_id] = name
-        return ObjectHandle(obj_id=obj_id, name=name, spec_class=spec_class)
-
-    def invoke(self, proc: Any, handle: ObjectHandle, op_name: str,
-               args: Tuple[Any, ...] = (),
-               kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        op = handle.spec_class.operation_def(op_name)
-        if op.is_write:
-            client = (proc.node_id, proc.client_id)
-            self.client_writes.setdefault(client, []).append(
-                (handle.name, op_name))
-            if op_name == "put":
-                self.put_values.append(args[0])
-        return execute_operation(self.instances[handle.obj_id], op,
-                                 tuple(args), kwargs)
-
-
-class _ProbeProc:
-    def __init__(self, node_id: int, client_id: int) -> None:
-        self.node_id = node_id
-        self.client_id = client_id
-
-
 def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
-    """Replay every client's stream; return the backend-independent truth."""
-    scenario = ScenarioRegistry.create(config.scenario, config.spec)
-    probe = _ProbeRts()
-    scenario.setup(probe, None)
-    spec = config.spec
+    """Replay every client's schedule; return the backend-independent truth."""
+    scenario, probe = config.replay_setup()
     reads = writes = 0
     registry = RngRegistry(config.seed)
     for node_id in config.client_nodes:
         for client_id in range(config.clients_per_node):
             rng = registry.stream(f"workload.client.{node_id}.{client_id}")
-            proc = _ProbeProc(node_id, client_id)
-            if spec.arrival_trace:
-                requests = (request for request, _arrival
-                            in traced_request_stream(spec, rng))
-                for request in requests:
-                    scenario.perform(probe, proc, request)
-                    writes += request.is_write
-                    reads += not request.is_write
-                continue
-            phases = spec.resolved_phases()
-            open_loop = spec.client_model == "open"
-            for request in request_stream(spec, rng):
-                phase = phases[request.phase]
-                # Mirror the client loops' extra rng draws exactly, or the
-                # shared stream (and every later request) would diverge.
-                if open_loop:
-                    rng.expovariate(phase.arrival_rate)
-                elif phase.think_time > 0.0:
-                    rng.expovariate(1.0 / phase.think_time)
+            proc = ClientProc(node_id, client_id)
+            for request, _timing, _delay in client_schedule(config.spec, rng):
                 scenario.perform(probe, proc, request)
                 writes += request.is_write
                 reads += not request.is_write
@@ -193,8 +122,9 @@ def expected_issued_writes(config: RealClusterConfig) -> Dict[str, Any]:
         "per_client_writes": probe.client_writes,
         "per_object_writes": dict(per_object),
         "put_values": Counter(probe.put_values),
-        "final_states": {probe.names[obj_id]: jsonify(inst.marshal_state())
-                         for obj_id, inst in probe.instances.items()},
+        "final_states": {
+            row["name"]: jsonify(probe.instances[row["obj_id"]].marshal_state())
+            for row in probe.rows},
     }
 
 
@@ -371,6 +301,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="check against the stream replay only")
     args = parser.parse_args(argv)
 
+    from .runner import run_real_workload
+
     kwargs: Dict[str, Any] = {}
     scenario = args.scenario
     if args.kill:
@@ -381,23 +313,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                                               for i in range(len(victims))))
         spec = ScenarioRegistry.get(scenario).default_spec()
         kwargs.update(workload=spec.with_overrides(ops_per_client=120))
-    config = RealClusterConfig(
-        scenario=scenario, num_nodes=args.nodes, num_shards=args.shards,
-        clients_per_node=args.clients_per_node, seed=args.seed, **kwargs)
-    expected = expected_issued_writes(config)
-    sim = None if args.skip_sim else record_sim_oracle(config)
-    with RealCluster(config) as cluster:
-        result = cluster.run_workload()
-    facts = check_convergence(result, expected, sim)
+    report = run_real_workload(
+        scenario, num_nodes=args.nodes, num_shards=args.shards,
+        clients_per_node=args.clients_per_node, seed=args.seed,
+        sim_oracle=not args.skip_sim, **kwargs)
     digest = {
         "scenario": scenario,
         "seed": args.seed,
         "nodes": args.nodes,
         "shards": args.shards,
-        "ops": result["reads"] + result["writes"],
-        "elapsed": result["elapsed"],
+        "ops": report.total_ops,
+        "elapsed": report.elapsed,
         "converged": True,
-        "facts": facts,
+        "facts": report.scenario_facts,
     }
     json.dump(digest, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -4,18 +4,19 @@ The :class:`~repro.workloads.scenarios.Scenario` classes are written against
 the simulator's ``RuntimeSystem`` facade (``create_object`` / ``invoke``).
 Three small adapters make them run unchanged across real processes:
 
-* :class:`RecordingRts` (harness side) replays ``scenario.setup`` once to
-  *record* the deterministic object table — names, spec classes, creation
+* :class:`ProbeRts` (harness side) replays ``scenario.setup`` to *record*
+  the deterministic object table — names, spec classes, creation
   arguments, policies — that the harness distributes to every node before
-  the run.  Object ids are assigned sequentially from 1, exactly as the
-  simulator's runtimes do, so id-hash shard placement matches.
+  the run, and replays the client schedules to *predict* every client's
+  writes for the oracle.
 * :class:`RealRtsFacade` (node side) replays the same ``setup`` to *bind*
   handles by name against the locally installed replicas, then serves
   ``invoke`` from client OS threads by scheduling the operation onto the
   node's event loop.
 * :class:`ClientProc` stands in for the simulator's per-client process
-  token: it identifies the client and numbers its writes (the ``cseq`` the
-  exactly-once machinery and the convergence checker key on).
+  token on both sides: it identifies the client and numbers its writes
+  (the ``cseq`` the exactly-once machinery and the convergence checker key
+  on).
 
 Scenario kinds whose ``setup`` *writes* through the runtime (preloading a
 catalog, say) are rejected up front with a clear error — the real backend
@@ -32,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..errors import ConfigurationError
 from ..rts.base import ObjectHandle
-from ..rts.object_model import ObjectSpec
+from ..rts.object_model import ObjectSpec, execute_operation
 from ..workloads.spec import PhaseSpec, WorkloadSpec
 from .runtime import RealRuntime, spec_path
 
@@ -72,38 +73,65 @@ def spec_from_payload(payload: Dict[str, Any]) -> WorkloadSpec:
     return WorkloadSpec(**fields)
 
 
-class RecordingRts:
-    """Harness-side stub: records ``setup``'s creations into an object table."""
+class ProbeRts:
+    """In-memory ``RuntimeSystem`` stand-in that replays a scenario offline.
+
+    Replaying ``scenario.setup`` against it records the object table the
+    harness distributes to every node.  Ids count from 1, as the
+    simulator's runtimes assign them, so id-hash shard placement matches.
+    Setup may only create objects: an ``invoke`` without a client is
+    rejected.
+
+    Replaying client schedules against it applies each operation at once to
+    in-memory instances, so scenario ``perform`` code gets working return
+    values.  Every write is recorded against its issuing client in issue
+    order: the ground truth the oracle's exactly-once and FIFO checks
+    compare applied logs against.
+    """
 
     def __init__(self) -> None:
         self.rows: List[Dict[str, Any]] = []
-        self._ids = itertools.count(1)
+        self.instances: Dict[int, ObjectSpec] = {}
+        self.client_writes: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
+        self.put_values: List[Any] = []
 
     def create_object(self, proc: Any, spec_class: Type[ObjectSpec],
                       args: Tuple[Any, ...] = (),
                       kwargs: Optional[Dict[str, Any]] = None,
                       name: Optional[str] = None,
                       policy: Any = None) -> ObjectHandle:
-        obj_id = next(self._ids)
+        obj_id = len(self.rows) + 1
         if name is None:
             name = f"{spec_class.__name__}#{obj_id}"
+        kwargs = dict(kwargs or {})
         self.rows.append({
             "obj_id": obj_id,
             "name": name,
             "spec": spec_path(spec_class),
             "args": list(args),
-            "kwargs": dict(kwargs or {}),
-            "policy": map_policy(policy),
+            "kwargs": kwargs,
+            "policy": policy,
         })
+        self.instances[obj_id] = spec_class.create(tuple(args), dict(kwargs))
         return ObjectHandle(obj_id=obj_id, name=name, spec_class=spec_class)
 
-    def invoke(self, proc: Any, handle: ObjectHandle, op_name: str,
-               args: Tuple[Any, ...] = (),
+    def invoke(self, proc: Optional["ClientProc"], handle: ObjectHandle,
+               op_name: str, args: Tuple[Any, ...] = (),
                kwargs: Optional[Dict[str, Any]] = None) -> Any:
-        raise ConfigurationError(
-            f"scenario setup invokes {op_name!r} on {handle.name!r}; the "
-            "real backend only supports scenarios whose initial state comes "
-            "from object creation arguments")
+        if proc is None:
+            raise ConfigurationError(
+                f"scenario setup invokes {op_name!r} on {handle.name!r}; the "
+                "real backend only supports scenarios whose initial state "
+                "comes from object creation arguments")
+        op = handle.spec_class.operation_def(op_name)
+        if op.is_write:
+            client = (proc.node_id, proc.client_id)
+            self.client_writes.setdefault(client, []).append(
+                (handle.name, op_name))
+            if op_name == "put":
+                self.put_values.append(args[0])
+        return execute_operation(self.instances[handle.obj_id], op,
+                                 tuple(args), kwargs)
 
 
 class ClientProc:

@@ -39,14 +39,6 @@ class FifoResource:
         #: Maximum queue length observed.
         self.max_queue_length = 0
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def request(self, callback: Callable[..., Any], *args: Any) -> None:
         """Request a slot; ``callback(*args)`` runs when the slot is granted."""
         if self._in_use < self.capacity:

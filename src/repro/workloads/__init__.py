@@ -42,9 +42,8 @@ from .spec import (
     TenantSpec,
     WorkloadSpec,
     bursty,
-    request_stream,
+    client_schedule,
     trace_arrivals,
-    traced_request_stream,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "TenantSpec",
     "WorkloadSpec",
     "bursty",
-    "request_stream",
+    "client_schedule",
     "trace_arrivals",
-    "traced_request_stream",
 ]

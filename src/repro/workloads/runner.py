@@ -36,7 +36,7 @@ from ..rts.hybrid import HybridRts
 from ..rts.policy import DEFAULT_POLICY_FOR_KIND
 from ..rts.sharding import batching_params
 from .scenarios import Scenario, ScenarioRegistry
-from .spec import WorkloadSpec, request_stream, traced_request_stream
+from .spec import CLOSED, OPEN, TRACE, WorkloadSpec, client_schedule
 
 #: Every runtime kind the runner can sweep.  ``broadcast``/``p2p`` are the
 #: fixed-policy configurations of the unified runtime; ``adaptive`` lets
@@ -191,16 +191,10 @@ class WorkloadRunner:
                  rts_options: Optional[Dict[str, Any]] = None,
                  config: Optional[ClusterConfig] = None,
                  network_type: Optional[str] = None,
-                 backend: str = "sim",
                  gateway: Optional[Any] = None) -> None:
         """``network_type`` overrides the runtime's natural interconnect
         (e.g. run the p2p runtime on the shared Ethernet so a cross-runtime
         comparison holds the hardware fixed).
-
-        ``backend`` selects the execution substrate: ``"sim"`` (default)
-        runs inside the deterministic discrete-event simulator; ``"real"``
-        runs the same scenario across real OS processes over UDP sockets
-        (see :mod:`repro.net`), reporting real wall-clock throughput.
 
         ``gateway`` switches the client edge to the session tier
         (:mod:`repro.gateway`): ``True`` / a dict of
@@ -210,30 +204,14 @@ class WorkloadRunner:
         admission control, weighted fair queueing and overload shedding.
         ``None`` (default) keeps the classic runner.
         """
-        if backend not in ("sim", "real"):
-            raise ConfigurationError(f"unknown backend {backend!r} (use 'sim' or 'real')")
-        self.backend = backend
         if gateway is not None:
             # Deferred import: the classic runner path must not pull in the
             # gateway tier (and repro.gateway imports workload specs).
             from ..gateway import gateway_params
 
-            if backend != "sim":
-                raise ConfigurationError(
-                    "the gateway tier is simulator-only; run backend='sim'")
             self.gateway = gateway_params(gateway)
         else:
             self.gateway = None
-        if backend == "real":
-            if runtime != "broadcast":
-                raise ConfigurationError(
-                    "the real backend maps per-object policies itself; "
-                    "select it with runtime='broadcast'")
-            if batching is not None or rts_options or config or network_type:
-                raise ConfigurationError(
-                    "batching / rts_options / config / network_type are "
-                    "simulator-only knobs; the real backend does not "
-                    "accept them")
         if runtime not in RUNTIME_KINDS:
             raise ConfigurationError(
                 f"unknown runtime kind {runtime!r} (use one of {RUNTIME_KINDS})")
@@ -264,15 +242,6 @@ class WorkloadRunner:
 
     def run(self) -> WorkloadReport:
         """Execute the workload to completion; returns the full report."""
-        if self.backend == "real":
-            # Deferred import: the sim path must not depend on repro.net.
-            from ..net.runner import run_real_workload
-
-            return run_real_workload(
-                scenario=self.scenario_kind, workload=self.workload,
-                num_nodes=self.num_nodes,
-                clients_per_node=self.clients_per_node, seed=self.seed,
-                num_shards=max(1, self.num_shards))
         config = self.config or ClusterConfig(num_nodes=self.num_nodes, seed=self.seed)
         cluster = Cluster(config, network_type=self.network_type)
         try:
@@ -287,7 +256,6 @@ class WorkloadRunner:
         request_recorder = LatencyRecorder()
         scenario = ScenarioRegistry.create(self.scenario_kind, self.workload)
         spec = scenario.spec
-        phases = spec.resolved_phases()
         counts = {"reads": 0, "writes": 0, "clients": 0}
         window = {"start": 0.0, "end": 0.0}
         facts: Dict[str, Any] = {}
@@ -295,45 +263,24 @@ class WorkloadRunner:
         def client_body(node_id: int, client_id: int) -> None:
             proc = sim.current_process
             rng = sim.rng.stream(f"workload.client.{node_id}.{client_id}")
-            if spec.arrival_trace:
-                # Trace-driven open loop: arrivals follow the deterministic
-                # (duration, rate) segments; the request count falls out of
-                # the trace.  Latency is measured from the intended arrival,
-                # so queueing delay counts (no coordinated omission).
-                start = proc.local_time
-                for request, offset in traced_request_stream(spec, rng):
-                    arrival = start + offset
-                    if proc.local_time < arrival:
-                        proc.hold(arrival - proc.local_time)
-                    scenario.perform(rts, proc, request)
-                    kind = "write" if request.is_write else "read"
-                    request_recorder.record(kind, proc.local_time - arrival)
-                    counts["writes" if request.is_write else "reads"] += 1
-                return
-            # The loop mode is per resolved phase, so one client can switch
-            # between closed-loop think/issue and open-loop Poisson arrivals
-            # mid-stream (a "hybrid" client).  The open-loop arrival clock
-            # restarts at every closed->open handover instead of
-            # back-filling arrivals for the time spent closed.
-            prev_model = None
-            next_arrival = proc.local_time
-            for request in request_stream(spec, rng):
-                phase = phases[request.phase]
-                if phase.client_model == "open":
-                    if prev_model == "closed":
-                        next_arrival = proc.local_time
-                    prev_model = "open"
-                    next_arrival += rng.expovariate(phase.arrival_rate)
+            start = next_arrival = proc.local_time
+            for request, timing, delay in client_schedule(spec, rng):
+                if timing == CLOSED:
+                    if delay > 0.0:
+                        proc.hold(delay)
+                    issued_at = proc.local_time
+                else:
+                    if timing == OPEN:
+                        next_arrival += delay
+                    elif timing == TRACE:
+                        next_arrival = start + delay
+                    else:
+                        next_arrival = proc.local_time + delay
                     if proc.local_time < next_arrival:
                         proc.hold(next_arrival - proc.local_time)
                     # Intended arrival, not actual issue time: queueing delay
                     # counts toward latency (no coordinated omission).
                     issued_at = next_arrival
-                else:
-                    prev_model = "closed"
-                    if phase.think_time > 0.0:
-                        proc.hold(rng.expovariate(1.0 / phase.think_time))
-                    issued_at = proc.local_time
                 scenario.perform(rts, proc, request)
                 kind = "write" if request.is_write else "read"
                 request_recorder.record(kind, proc.local_time - issued_at)

@@ -356,26 +356,21 @@ class Request:
     phase: int
 
 
-def request_stream(spec: WorkloadSpec, rng: random.Random) -> Iterator[Request]:
-    """Generate the request sequence one client issues (deterministic per rng).
-
-    The stream interleaves key sampling and mix decisions in a fixed order so
-    that, for a given seeded ``rng``, two runs observe identical requests.
-    """
-    sampler = KeySampler(spec)
-    seq = 0
-    for phase_index, phase in enumerate(spec.resolved_phases()):
-        for _ in range(phase.ops_per_client):
-            key = sampler.sample(rng)
-            # One mix draw per request in a fixed order (so the stream is
-            # identical across configurations); the threshold it is compared
-            # against may be key-correlated (hot keys write-hot, say).
-            read_fraction = phase.read_fraction
-            if key < spec.hot_keys:
-                read_fraction = spec.hot_read_fraction
-            is_write = rng.random() >= read_fraction
-            yield Request(seq=seq, key=key, is_write=is_write, phase=phase_index)
-            seq += 1
+#: How :func:`client_schedule` times a request (the second item it yields;
+#: the third is the float named here).
+#:
+#: * ``TRACE`` — the arrival *offset* from the client's start;
+#: * ``OPEN`` — the Poisson *gap* after the previous open-loop arrival (the
+#:   first one counts from the client's start);
+#: * ``OPEN_RESTART`` — the gap after the *current* time: the first open
+#:   request after a closed one restarts the arrival clock there instead of
+#:   back-filling arrivals for the time spent closed;
+#: * ``CLOSED`` — the *think time* after the previous request completes
+#:   (``0.0`` when the phase does not think).
+TRACE = "trace"
+OPEN = "open"
+OPEN_RESTART = "open-restart"
+CLOSED = "closed"
 
 
 def trace_arrivals(trace: Sequence[Tuple[float, float]],
@@ -402,25 +397,59 @@ def trace_arrivals(trace: Sequence[Tuple[float, float]],
         start = end
 
 
-def traced_request_stream(spec: WorkloadSpec,
-                          rng: random.Random) -> Iterator[Tuple[Request, float]]:
-    """One client's requests under the spec's arrival-rate trace.
+def client_schedule(spec: WorkloadSpec,
+                    rng: random.Random) -> Iterator[Tuple[Request, str, float]]:
+    """The requests one client issues, each with how it is timed.
 
-    Yields ``(request, intended_arrival_time)``; the request's ``phase`` is
-    the trace segment it arrived in.  Key popularity and the (possibly
-    key-correlated) read/write mix work exactly as in :func:`request_stream`,
-    drawn in a fixed order so the stream is identical across configurations.
+    Yields ``(request, timing, value)`` with ``timing`` one of
+    :data:`TRACE`, :data:`OPEN`, :data:`OPEN_RESTART` or :data:`CLOSED`.
+    This is the one place that fixes the order of a client's rng draws.
+    The simulator's client processes, gateway sessions, the real backend's
+    client threads and the oracle's stream replay all consume it, so one
+    seeded ``rng`` gives every one of them the same requests:
+
+    * with an ``arrival_trace``, a request draws its arrival gap(s) first,
+      then its key, then its read/write mix; its ``phase`` is the trace
+      segment it arrived in and the request count falls out of the trace;
+    * otherwise a request draws its key, then its mix, then its open-loop
+      gap, or its think time in a closed phase with ``think_time > 0``.
+
+    The mix draw's threshold may be key-correlated (hot keys write-hot).
     """
     sampler = KeySampler(spec)
+    hot_keys = spec.hot_keys
+    hot_read_fraction = spec.hot_read_fraction
     seq = 0
-    for arrival, segment in trace_arrivals(spec.arrival_trace, rng):
-        key = sampler.sample(rng)
+    if spec.arrival_trace:
         read_fraction = spec.read_fraction
-        if key < spec.hot_keys:
-            read_fraction = spec.hot_read_fraction
-        is_write = rng.random() >= read_fraction
-        yield Request(seq=seq, key=key, is_write=is_write, phase=segment), arrival
-        seq += 1
+        for offset, segment in trace_arrivals(spec.arrival_trace, rng):
+            key = sampler.sample(rng)
+            is_write = rng.random() >= (hot_read_fraction if key < hot_keys
+                                        else read_fraction)
+            yield Request(seq, key, is_write, segment), TRACE, offset
+            seq += 1
+        return
+    after_closed = False
+    for phase_index, phase in enumerate(spec.resolved_phases()):
+        read_fraction = phase.read_fraction
+        open_loop = phase.client_model == "open"
+        rate = phase.arrival_rate
+        think_time = phase.think_time
+        for _ in range(phase.ops_per_client):
+            key = sampler.sample(rng)
+            is_write = rng.random() >= (hot_read_fraction if key < hot_keys
+                                        else read_fraction)
+            request = Request(seq, key, is_write, phase_index)
+            seq += 1
+            if open_loop:
+                yield (request, OPEN_RESTART if after_closed else OPEN,
+                       rng.expovariate(rate))
+                after_closed = False
+            else:
+                yield (request, CLOSED,
+                       rng.expovariate(1.0 / think_time) if think_time > 0.0
+                       else 0.0)
+                after_closed = True
 
 
 def observed_mix(requests: Sequence[Request]) -> float:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.config import ClusterConfig, CostModel
-from repro.errors import ConfigurationError
 from repro.workloads import PhaseSpec, TenantSpec, WorkloadRunner, WorkloadSpec
 
 TWO_TENANTS = WorkloadSpec(
@@ -70,10 +69,6 @@ class TestGatewayRuns:
         report = gateway_run(gateway=None)
         assert "gateway" not in report.rts_summary
         assert "gateway" not in report.fingerprint()
-
-    def test_gateway_requires_sim_backend(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadRunner("counter-farm", backend="real", gateway=True)
 
 
 class TestOverloadShedding:

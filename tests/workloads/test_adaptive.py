@@ -106,13 +106,13 @@ class TestHotKeySpecValidation:
 
     def test_streams_identical_to_seed_when_disabled(self):
         import random
-        from repro.workloads.spec import request_stream
+        from repro.workloads.spec import client_schedule
 
         base = WorkloadSpec(name="b", num_keys=8, read_fraction=0.7,
                             ops_per_client=30)
         biased = base.with_overrides(hot_keys=2, hot_read_fraction=0.7)
-        first = list(request_stream(base, random.Random(5)))
-        second = list(request_stream(biased, random.Random(5)))
+        first = list(client_schedule(base, random.Random(5)))
+        second = list(client_schedule(biased, random.Random(5)))
         # Same threshold for hot and cold -> identical stream, key draws and
         # mix draws interleave in the same fixed order.
         assert first == second

@@ -12,11 +12,15 @@ from repro.workloads import (
     PhaseSpec,
     WorkloadSpec,
     bursty,
-    request_stream,
+    client_schedule,
     trace_arrivals,
-    traced_request_stream,
 )
-from repro.workloads.spec import observed_mix
+from repro.workloads.spec import TRACE, observed_mix
+
+
+def request_list(spec, rng):
+    """The requests of one client's schedule, without their timing."""
+    return [request for request, _timing, _value in client_schedule(spec, rng)]
 
 
 class TestValidation:
@@ -83,24 +87,24 @@ class TestKeySampler:
 class TestRequestStream:
     def test_deterministic_for_equal_seeds(self):
         spec = WorkloadSpec(num_keys=8, read_fraction=0.7, ops_per_client=40)
-        first = list(request_stream(spec, random.Random(9)))
-        second = list(request_stream(spec, random.Random(9)))
+        first = request_list(spec, random.Random(9))
+        second = request_list(spec, random.Random(9))
         assert first == second
 
     def test_respects_read_fraction_roughly(self):
         spec = WorkloadSpec(num_keys=4, read_fraction=0.8, ops_per_client=1000)
-        requests = list(request_stream(spec, random.Random(4)))
+        requests = request_list(spec, random.Random(4))
         assert 0.75 < observed_mix(requests) < 0.85
 
     def test_all_reads_and_all_writes(self):
         all_reads = WorkloadSpec(read_fraction=1.0, ops_per_client=50)
-        assert observed_mix(list(request_stream(all_reads, random.Random(1)))) == 1.0
+        assert observed_mix(request_list(all_reads, random.Random(1))) == 1.0
         all_writes = WorkloadSpec(read_fraction=0.0, ops_per_client=50)
-        assert observed_mix(list(request_stream(all_writes, random.Random(1)))) == 0.0
+        assert observed_mix(request_list(all_writes, random.Random(1))) == 0.0
 
     def test_sequence_numbers_are_consecutive(self):
         spec = WorkloadSpec(ops_per_client=25)
-        requests = list(request_stream(spec, random.Random(5)))
+        requests = request_list(spec, random.Random(5))
         assert [request.seq for request in requests] == list(range(25))
 
 
@@ -127,7 +131,7 @@ class TestPhases:
     def test_requests_tagged_with_their_phase(self):
         spec = WorkloadSpec(phases=(PhaseSpec(ops_per_client=4),
                                     PhaseSpec(ops_per_client=3)))
-        requests = list(request_stream(spec, random.Random(6)))
+        requests = request_list(spec, random.Random(6))
         assert [request.phase for request in requests] == [0] * 4 + [1] * 3
 
     def test_bursty_builder_alternates_rates(self):
@@ -184,17 +188,18 @@ class TestArrivalTrace:
 
     def test_traced_request_stream_tags_phase_and_respects_mix(self):
         spec = self.make_spec().with_overrides(read_fraction=0.0)
-        stream = list(traced_request_stream(spec, random.Random(3)))
+        stream = list(client_schedule(spec, random.Random(3)))
         assert stream
-        seqs = [request.seq for request, _ in stream]
+        seqs = [request.seq for request, _, _ in stream]
         assert seqs == list(range(len(stream)))
-        for request, arrival in stream:
+        for request, timing, arrival in stream:
+            assert timing == TRACE
             assert request.is_write
             assert request.phase in (0, 1)
             assert (arrival >= 0.05) == (request.phase == 1)
 
     def test_traced_stream_is_deterministic(self):
         spec = self.make_spec()
-        a = list(traced_request_stream(spec, random.Random(9)))
-        b = list(traced_request_stream(spec, random.Random(9)))
+        a = list(client_schedule(spec, random.Random(9)))
+        b = list(client_schedule(spec, random.Random(9)))
         assert a == b
