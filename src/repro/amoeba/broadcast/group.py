@@ -28,7 +28,7 @@ from .protocol import (
     OrderingEngine,
     SendRecord,
 )
-from .sequencer import HistoryEntry, Sequencer
+from .sequencer import Sequencer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster import Cluster
@@ -76,7 +76,7 @@ class GroupMember:
         #: Recently delivered messages, retained so this member can seed a
         #: sequencer history if it wins an election after a crash, and so it
         #: can answer broadcast gap requests from lagging peers.
-        self._delivered_history: "OrderedDict[int, HistoryEntry]" = OrderedDict()
+        self._delivered_history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
         self._send_counter = itertools.count(1)
         self._pending_sends: Dict[MessageId, SendRecord] = {}
         self._gap_timers: Dict[int, int] = {}
@@ -90,18 +90,18 @@ class GroupMember:
         #: prove the sequencer is alive (merely backlogged), so send retries
         #: keep backing off instead of escalating to an election.
         self._last_delivery_time = node.sim.now
-        for kind in (
-            KIND_REQUEST,
-            KIND_DATA,
-            KIND_BB_DATA,
-            KIND_ACCEPT,
-            KIND_RETRANSMIT_REQ,
-            KIND_RETRANSMIT,
-            KIND_SYNC,
-            KIND_ELECTION,
-            KIND_COORDINATOR,
+        for kind, handler in (
+            (KIND_REQUEST, self._on_request),
+            (KIND_DATA, self._on_sequenced_message),
+            (KIND_BB_DATA, self._on_bb_data),
+            (KIND_ACCEPT, self._on_accept),
+            (KIND_RETRANSMIT_REQ, self._on_retransmit_request),
+            (KIND_RETRANSMIT, self._on_sequenced_message),
+            (KIND_SYNC, self._on_sync),
+            (KIND_ELECTION, self._on_election_message),
+            (KIND_COORDINATOR, self._on_coordinator_message),
         ):
-            node.register_handler(group.wire_kind(kind), self._on_message)
+            node.register_handler(group.wire_kind(kind), handler)
         # A crash loses this member's volatile protocol state; the loss is
         # applied when the node comes back (wiping a dead member changes
         # nothing observable, and the election path still seeds the new
@@ -189,97 +189,86 @@ class GroupMember:
     # Receiving
     # ------------------------------------------------------------------ #
 
-    def _on_message(self, msg: Message) -> None:
-        kind = self.group.base_kind(msg.kind)
-        if kind == KIND_REQUEST:
-            if self.group.sequencer_node_id == self.node_id:
-                uid = MessageId(*msg.headers["uid"])
-                self.group.sequencer.handle_pb_request(msg.src, uid, msg.payload, msg.size)
-            # else: stale request addressed to an old sequencer; drop it.
-            return
-        if kind == KIND_BB_DATA:
+    def _on_request(self, msg: Message) -> None:
+        if self.group.sequencer_node_id == self.node_id:
             uid = MessageId(*msg.headers["uid"])
-            self.engine.offer_bb_data(msg.src, uid, msg.payload, msg.size)
-            if self.group.sequencer_node_id == self.node_id:
-                self.group.sequencer.handle_bb_data(msg.src, uid, msg.payload, msg.size)
-            self._after_arrival()
-            return
-        if kind in (KIND_DATA, KIND_RETRANSMIT):
-            uid = MessageId(*msg.headers["uid"])
-            if self._anchor_uid is not None and uid == self._anchor_uid:
-                # The rejoin anchor came back sequenced: everything before it
-                # is covered by the seed, so re-enter the order right here.
-                self.engine.fast_forward(msg.headers["seqno"])
-                self._anchor_uid = None
-                self.synced = True
-            self.engine.offer(
-                msg.headers["seqno"], msg.headers["origin"], uid, msg.payload, msg.size
-            )
-            self._after_arrival()
-            return
-        if kind == KIND_ACCEPT:
-            uid = MessageId(*msg.headers["uid"])
-            self.engine.offer_accept(msg.headers["seqno"], msg.headers["origin"], uid)
-            self._after_arrival()
-            return
-        if kind == KIND_SYNC:
-            self.engine.note_highest(msg.headers["seqno"])
-            self._after_arrival()
-            return
-        if kind == KIND_RETRANSMIT_REQ:
-            seqno = msg.headers["seqno"]
-            served = False
-            if self.group.sequencer_node_id == self.node_id:
-                served = self.group.sequencer.handle_retransmit_request(msg.src, seqno)
-            if msg.is_broadcast and not served:
-                # A broadcast gap request: the sequencer could not help (it
-                # is newly elected, its history evicted the message, or the
-                # requester *is* the sequencer's node).  One member per
-                # salvo — rotated by the request's attempt counter so every
-                # member is eventually tried — answers from local state.
-                # (The designated peer cannot observe whether a *remote*
-                # sequencer served the same salvo, so a request can draw at
-                # most two replies — sequencer plus designee; duplicates are
-                # discarded by the ordering engine.)
-                if self._gap_responder(seqno, msg.headers.get("salvo", 0)):
-                    self._answer_gap_request(msg.src, seqno)
-            return
-        if kind == KIND_ELECTION:
-            self._on_election_message(msg)
-            return
-        if kind == KIND_COORDINATOR:
-            self._on_coordinator_message(msg)
-            return
+            self.group.sequencer.handle_pb_request(msg.src, uid, msg.payload, msg.size)
+        # else: stale request addressed to an old sequencer; drop it.
 
-    def local_sequenced_data(self, entry: HistoryEntry) -> None:
-        """Direct (loop-back) delivery used by a sequencer hosted on this node."""
-        self.engine.offer(entry.seqno, entry.origin, entry.uid, entry.payload, entry.size)
+    def _on_bb_data(self, msg: Message) -> None:
+        uid = MessageId(*msg.headers["uid"])
+        self.engine.offer_bb_data(msg.src, uid, msg.payload, msg.size)
+        if self.group.sequencer_node_id == self.node_id:
+            self.group.sequencer.handle_bb_data(msg.src, uid, msg.payload, msg.size)
+        self._after_arrival()
+
+    def _on_sequenced_message(self, msg: Message) -> None:
+        """PB data or a retransmission: its payload is the sequenced record."""
+        self.receive_sequenced(msg.payload)
+
+    def _on_accept(self, msg: Message) -> None:
+        uid = MessageId(*msg.headers["uid"])
+        self.engine.offer_accept(msg.headers["seqno"], msg.headers["origin"], uid)
+        self._after_arrival()
+
+    def _on_sync(self, msg: Message) -> None:
+        self.engine.note_highest(msg.headers["seqno"])
+        self._after_arrival()
+
+    def _on_retransmit_request(self, msg: Message) -> None:
+        seqno = msg.headers["seqno"]
+        served = False
+        if self.group.sequencer_node_id == self.node_id:
+            served = self.group.sequencer.handle_retransmit_request(msg.src, seqno)
+        if msg.is_broadcast and not served:
+            # A broadcast gap request: the sequencer could not help (it
+            # is newly elected, its history evicted the message, or the
+            # requester *is* the sequencer's node).  One member per
+            # salvo — rotated by the request's attempt counter so every
+            # member is eventually tried — answers from local state.
+            # (The designated peer cannot observe whether a *remote*
+            # sequencer served the same salvo, so a request can draw at
+            # most two replies — sequencer plus designee; duplicates are
+            # discarded by the ordering engine.)
+            if self._gap_responder(seqno, msg.headers.get("salvo", 0)):
+                self._answer_gap_request(msg.src, seqno)
+
+    def receive_sequenced(self, record: DeliveredMessage) -> None:
+        """Take one sequenced record: PB data, a retransmission, or the
+        loop-back of a sequencer hosted on this node."""
+        engine = self.engine
+        if self._anchor_uid is None:
+            if engine.take_in_order(record):
+                # In order with nothing waiting: no buffer round trip.
+                self._deliver(record)
+                self._schedule_gap_requests()
+                return
+        elif record.uid == self._anchor_uid:
+            # The rejoin anchor came back sequenced: everything before it
+            # is covered by the seed, so re-enter the order right here.
+            engine.fast_forward(record.seqno)
+            self._anchor_uid = None
+            self.synced = True
+        engine.offer(record)
         self._after_arrival()
 
     def _after_arrival(self) -> None:
         self._deliver_ready()
         self._schedule_gap_requests()
 
-    def recovery_entries(self) -> List[HistoryEntry]:
+    def recovery_entries(self) -> List[DeliveredMessage]:
         """Everything this member could serve as sequencer history: its
         retained delivered messages plus sequenced-but-undelivered buffers."""
-        entries = list(self._delivered_history.values())
-        entries.extend(
-            HistoryEntry(m.seqno, m.origin, m.uid, m.payload, m.size)
-            for m in self.engine.buffered_messages()
-        )
-        return entries
+        return list(self._delivered_history.values()) + self.engine.buffered_messages()
 
-    def lookup_entry(self, seqno: int) -> Optional[HistoryEntry]:
-        """This member's local copy of sequenced message ``seqno``, if any."""
+    def lookup_entry(self, seqno: int) -> Optional[DeliveredMessage]:
+        """This member's record of sequenced message ``seqno``, if any."""
         entry = self._delivered_history.get(seqno)
         if entry is not None:
             return entry
         for buffered in self.engine.buffered_messages():
             if buffered.seqno == seqno:
-                return HistoryEntry(
-                    buffered.seqno, buffered.origin, buffered.uid, buffered.payload, buffered.size
-                )
+                return buffered
         return None
 
     def _gap_responder(self, seqno: int, salvo: int) -> bool:
@@ -309,63 +298,50 @@ class GroupMember:
         if entry is None or requester == self.node_id:
             return
         self.group.stats.peer_retransmissions += 1
-        msg = self.node.make_message(
-            requester,
-            self.group.wire_kind(KIND_RETRANSMIT),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
-        )
-        self.node.send(msg)
+        self.group.send_record(self.node, requester, KIND_RETRANSMIT, entry)
 
     def _deliver_ready(self) -> None:
+        for record in self.engine.pop_deliverable():
+            self._deliver(record)
+
+    def _deliver(self, record: DeliveredMessage) -> None:
+        """Deliver one in-order record: history, timers, send completion,
+        statistics and the application handler (both delivery paths)."""
+        seqno = record.seqno
         history = self._delivered_history
-        history_size = self.group.params.history_size
-        gap_timers = self._gap_timers
-        gap_attempts = self._gap_attempts
-        pending_sends = self._pending_sends
-        stats = self.group.stats
-        node_id = self.node_id
+        history[seqno] = record
+        if len(history) > self.group.params.history_size:
+            history.popitem(last=False)
+        if self._gap_timers:
+            timer = self._gap_timers.pop(seqno, None)
+            if timer is not None:
+                self.node.kernel.cancel_timer(timer)
+        if self._gap_attempts:
+            self._gap_attempts.pop(seqno, None)
         sim = self.node.sim
-        tracing = sim.tracer.enabled
-        for delivered in self.engine.pop_deliverable():
-            seqno = delivered.seqno
-            history[seqno] = HistoryEntry(
-                seqno, delivered.origin, delivered.uid, delivered.payload, delivered.size
+        self._last_delivery_time = sim.now
+        node_id = self.node_id
+        if record.origin == node_id:
+            send = self._pending_sends.pop(record.uid, None)
+            if send is not None:
+                send.delivered = True
+                if send.retry_timer is not None:
+                    self.node.kernel.cancel_timer(send.retry_timer)
+                if send.on_delivered is not None:
+                    send.on_delivered(seqno)
+        stats = self.group.stats
+        stats.deliveries += 1
+        per_member = stats.per_member_deliveries
+        per_member[node_id] = per_member.get(node_id, 0) + 1
+        if sim.tracer.enabled:
+            sim.trace(
+                "grp.deliver",
+                f"node {node_id} delivers #{seqno}",
+                origin=record.origin,
+                seqno=seqno,
             )
-            while len(history) > history_size:
-                history.popitem(last=False)
-            if gap_timers:
-                timer = gap_timers.pop(seqno, None)
-                if timer is not None:
-                    self.node.kernel.cancel_timer(timer)
-            if gap_attempts:
-                gap_attempts.pop(seqno, None)
-            self._last_delivery_time = sim.now
-            if delivered.origin == node_id:
-                record = pending_sends.get(delivered.uid)
-                if record is not None:
-                    record.delivered = True
-                    if record.retry_timer is not None:
-                        self.node.kernel.cancel_timer(record.retry_timer)
-                    pending_sends.pop(delivered.uid, None)
-                    if record.on_delivered is not None:
-                        record.on_delivered(seqno)
-            stats.deliveries += 1
-            stats.per_member_deliveries[node_id] = (
-                stats.per_member_deliveries.get(node_id, 0) + 1
-            )
-            if tracing:
-                sim.trace(
-                    "grp.deliver",
-                    f"node {node_id} delivers #{seqno}",
-                    origin=delivered.origin,
-                    seqno=seqno,
-                )
-            if self.delivery_handler is not None:
-                self.delivery_handler(delivered)
+        if self.delivery_handler is not None:
+            self.delivery_handler(record)
 
     def probe_gap(self) -> None:
         """One-shot recovery probe for the next expected sequence number.
@@ -644,17 +620,24 @@ class BroadcastGroup:
         """
         return base if self.group_id == 0 else f"{base}#g{self.group_id}"
 
-    @staticmethod
-    def base_kind(wire: str) -> str:
-        """Invert :meth:`wire_kind`: strip the group suffix, if any."""
-        return wire.partition("#")[0]
-
     def member(self, node_id: int) -> GroupMember:
         return self.members[node_id]
 
     def set_delivery_handler(self, node_id: int, handler: DeliveryHandler) -> None:
         """Install the application's in-order delivery callback for one member."""
         self.members[node_id].delivery_handler = handler
+
+    def send_record(
+        self, node: "Node", dst: Optional[int], kind: str, record: DeliveredMessage
+    ) -> None:
+        """Send ``record`` from ``node`` as sequenced data (``kind`` is DATA
+        or RETRANSMIT).
+
+        The record itself is the message's payload, so every receiver shares
+        it; the explicit ``size`` is the application payload's, so wire time
+        is that of the data alone.
+        """
+        node.send(node.make_message(dst, self.wire_kind(kind), payload=record, size=record.size))
 
     def strategy(self, method: str):
         return self._pb if method == "pb" else self._bb

@@ -3,7 +3,8 @@
 This module holds the wire-format constants, the per-member
 :class:`OrderingEngine` that turns an unordered stream of sequenced messages
 into in-order deliveries (buffering out-of-order arrivals and reporting
-gaps), and the bookkeeping records for in-flight sends.
+gaps), the bookkeeping records for in-flight sends, and the one shared
+record of each sequenced message (:class:`DeliveredMessage`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,18 @@ class SendRecord:
 
 @dataclass(frozen=True)
 class DeliveredMessage:
-    """One message as handed to the application delivery handler."""
+    """One sequenced message: the group's single, immutable record of it.
+
+    The sequencer builds it once, at sequencing, and every holder shares
+    that object: the sequencer's history and loop-back, the DATA or
+    RETRANSMIT message (as its payload), every member's ordering buffer and
+    history, and the delivery handler.  Neither the record nor its payload
+    may be mutated once sequenced.  A BB message gets its record at each
+    member, where its data and its Accept meet.
+    """
+
+    # Declared by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("seqno", "origin", "uid", "payload", "size")
 
     seqno: int
     origin: int
@@ -102,13 +114,24 @@ class OrderingEngine:
 
     # -- feeding ----------------------------------------------------------- #
 
-    def offer(self, seqno: int, origin: int, uid: MessageId, payload: Any, size: int) -> None:
+    def offer(self, record: DeliveredMessage) -> None:
         """Offer a fully sequenced data message (PB data or a retransmission)."""
+        seqno = record.seqno
         if seqno < self.next_expected or seqno in self._ordered_buffer:
             self.duplicates += 1
             return
-        self._ordered_buffer[seqno] = DeliveredMessage(seqno, origin, uid, payload, size)
+        self._ordered_buffer[seqno] = record
         self._pending_accepts.pop(seqno, None)
+
+    def take_in_order(self, record: DeliveredMessage) -> bool:
+        """In-order fast path: if ``record`` is next and nothing is waiting,
+        count it delivered (as ``offer`` + ``pop_deliverable`` would) and
+        return True; otherwise change nothing and return False."""
+        if record.seqno != self.next_expected or self._ordered_buffer or self._pending_accepts:
+            return False
+        self.next_expected += 1
+        self.delivered_count += 1
+        return True
 
     def offer_bb_data(self, origin: int, uid: MessageId, payload: Any, size: int) -> None:
         """Offer BB data that does not carry a sequence number yet."""
@@ -116,7 +139,7 @@ class OrderingEngine:
         for seqno, pending_uid in list(self._pending_accepts.items()):
             if pending_uid == uid:
                 del self._pending_accepts[seqno]
-                self.offer(seqno, origin, uid, payload, size)
+                self.offer(DeliveredMessage(seqno, origin, uid, payload, size))
                 return
         if uid not in self._unordered_data:
             self._unordered_data[uid] = (payload, size)
@@ -134,7 +157,7 @@ class OrderingEngine:
             return True
         if uid in self._unordered_data:
             payload, size = self._unordered_data.pop(uid)
-            self.offer(seqno, origin, uid, payload, size)
+            self.offer(DeliveredMessage(seqno, origin, uid, payload, size))
             return True
         self._pending_accepts[seqno] = uid
         return False

@@ -11,7 +11,6 @@ from which missing messages are retransmitted point-to-point on request.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 from .protocol import (
@@ -20,23 +19,13 @@ from .protocol import (
     KIND_DATA,
     KIND_RETRANSMIT,
     KIND_SYNC,
+    DeliveredMessage,
     MessageId,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..node import Node
     from .group import BroadcastGroup
-
-
-@dataclass
-class HistoryEntry:
-    """One sequenced message retained for retransmission."""
-
-    seqno: int
-    origin: int
-    uid: MessageId
-    payload: Any
-    size: int
 
 
 class Sequencer:
@@ -47,7 +36,7 @@ class Sequencer:
         self.node = node
         self.next_seq = 1
         self.history_size = group.params.history_size
-        self._history: "OrderedDict[int, HistoryEntry]" = OrderedDict()
+        self._history: "OrderedDict[int, DeliveredMessage]" = OrderedDict()
         #: uid -> seqno, for duplicate suppression when senders retry.
         self._assigned: Dict[MessageId, int] = {}
         self.requests_handled = 0
@@ -58,7 +47,7 @@ class Sequencer:
         #: the sequencer is a queueing server with ``sequencing_cost`` service
         #: time per message, which is what gives a lone sequencer a hard
         #: throughput ceiling (and sharding something real to break).
-        self._service_queue: Deque[Tuple[HistoryEntry, bool]] = deque()
+        self._service_queue: Deque[Tuple[DeliveredMessage, bool]] = deque()
         self._service_timer: Optional[int] = None
         self.max_queue_depth = 0
         self._sync_timer: Optional[int] = None
@@ -103,7 +92,7 @@ class Sequencer:
     # Service queue (the sequencer's own processing capacity)
     # ------------------------------------------------------------------ #
 
-    def _dispatch_broadcast(self, entry: HistoryEntry, accept: bool) -> None:
+    def _dispatch_broadcast(self, entry: DeliveredMessage, accept: bool) -> None:
         """Send — or queue — the ordered (re)broadcast of ``entry``.
 
         With ``sequencing_cost`` at 0 (the calibrated default) the broadcast
@@ -174,10 +163,10 @@ class Sequencer:
                 self.node.cost_model.cpu.sequencing_cost, self._serve_next
             )
 
-    def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> HistoryEntry:
+    def _record(self, origin: int, uid: MessageId, payload: Any, size: int) -> DeliveredMessage:
         seqno = self.next_seq
         self.next_seq += 1
-        entry = HistoryEntry(seqno, origin, uid, payload, size)
+        entry = DeliveredMessage(seqno, origin, uid, payload, size)
         self._assigned[uid] = seqno
         self._history[seqno] = entry
         while len(self._history) > self.history_size:
@@ -234,21 +223,12 @@ class Sequencer:
     # Outgoing traffic
     # ------------------------------------------------------------------ #
 
-    def _broadcast_data(self, entry: HistoryEntry) -> None:
-        msg = self.node.make_message(
-            None,
-            self.group.wire_kind(KIND_DATA),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
-        )
-        self.node.send(msg)
+    def _broadcast_data(self, entry: DeliveredMessage) -> None:
+        self.group.send_record(self.node, None, KIND_DATA, entry)
         # Hardware broadcast does not loop back; deliver to the local member directly.
-        self.group.member(self.node.node_id).local_sequenced_data(entry)
+        self.group.member(self.node.node_id).receive_sequenced(entry)
 
-    def _broadcast_accept(self, entry: HistoryEntry) -> None:
+    def _broadcast_accept(self, entry: DeliveredMessage) -> None:
         msg = self.node.make_message(
             None,
             self.group.wire_kind(KIND_ACCEPT),
@@ -259,7 +239,7 @@ class Sequencer:
             uid=(entry.uid.origin, entry.uid.counter),
         )
         self.node.send(msg)
-        self.group.member(self.node.node_id).local_sequenced_data(entry)
+        self.group.member(self.node.node_id).receive_sequenced(entry)
 
     def handle_retransmit_request(self, requester: int, seqno: int) -> bool:
         """Unicast a missing message back to the member that asked for it.
@@ -277,16 +257,7 @@ class Sequencer:
         # Someone is lagging: keep heartbeating so further tail losses heal.
         self._arm_sync()
         self.retransmissions += 1
-        msg = self.node.make_message(
-            requester,
-            self.group.wire_kind(KIND_RETRANSMIT),
-            payload=entry.payload,
-            size=entry.size,
-            seqno=entry.seqno,
-            origin=entry.origin,
-            uid=(entry.uid.origin, entry.uid.counter),
-        )
-        self.node.send(msg)
+        self.group.send_record(self.node, requester, KIND_RETRANSMIT, entry)
         return True
 
     # ------------------------------------------------------------------ #
@@ -332,6 +303,6 @@ class Sequencer:
     def highest_assigned(self) -> int:
         return self.next_seq - 1
 
-    def history_entries(self) -> Dict[int, HistoryEntry]:
+    def history_entries(self) -> Dict[int, DeliveredMessage]:
         """A copy of the current history (used by tests and state transfer)."""
         return dict(self._history)

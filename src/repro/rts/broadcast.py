@@ -385,7 +385,8 @@ class BroadcastPath:
             return
         op = rts.handle(obj_id).spec_class.operation_def(op_name)
         cpu = rts.cost_model.cpu
-        if not manager.has_valid_copy(obj_id):
+        replica = manager.replicas.get(obj_id)
+        if replica is None or not replica.valid:
             # Per-shard total order guarantees the create precedes every
             # operation, so a missing replica is a protocol error worth
             # failing on.
@@ -393,15 +394,15 @@ class BroadcastPath:
                 f"node {node_id} received operation {op_name!r} for object "
                 f"{obj_id} before its create message"
             )
-        result = manager.apply_write(obj_id, op, args, kwargs,
-                                     local_origin=origin == node_id)
+        result = manager.apply_write_to(replica, op, args, kwargs,
+                                        local_origin=origin == node_id)
         # Applying the update costs CPU on every machine that holds a
         # replica: this is the overhead that limits ACP's speedup.
         node.charge_overhead(cpu.operation_dispatch_cost +
                              op.work_units * cpu.work_unit_time)
-        if result is not RETRY:
+        if result is not RETRY and rts.history.enabled:
             rts.history.record_write(node_id, obj_id, op_name, args, seqno,
-                                     manager.get(obj_id).version)
+                                     replica.version)
         if origin == node_id:
             rts._resolve(invocation_id, result)
 

@@ -63,7 +63,9 @@ class RejoinRecord:
     ``completed_at - recovered_at`` is the window during which the member
     was alive but not yet a full member (reads served stale or not at all,
     gap requests skipped it); ``objects_reseeded`` counts the replica
-    copies the rejoin seeds restored.
+    copies the rejoin seeds restored, and ``deliveries_replayed`` the
+    deliveries that landed between an anchor and its seed and were
+    replayed on top of the seeded state.
     """
 
     node_id: int
@@ -71,6 +73,7 @@ class RejoinRecord:
     completed_at: Optional[float] = None
     objects_reseeded: int = 0
     seats_handed_back: int = 0
+    deliveries_replayed: int = 0
 
     @property
     def window(self) -> Optional[float]:
@@ -523,11 +526,14 @@ class Recovery:
             count += 1
         if rts._txn_layer is not None and payload.get("txn"):
             rts._txn_layer.install_seed(node_id, payload["txn"])
-        for record in reversed(rts.rejoins):
-            if record.node_id == node_id:
-                record.objects_reseeded += count
-                break
+        record = self._rejoin_record(node_id)
+        if record is not None:
+            record.objects_reseeded += count
         self._finish_seed(node_id, shard, upto=payload["upto"])
+
+    def _rejoin_record(self, node_id: int) -> Optional[RejoinRecord]:
+        """The latest rejoin of ``node_id``, if it ever rejoined."""
+        return next((r for r in reversed(self.rts.rejoins) if r.node_id == node_id), None)
 
     def _finish_seed(self, node_id: int, shard: int, upto: int) -> None:
         """Open the delivery gate: replay buffered deliveries, then flush.
@@ -540,10 +546,15 @@ class Recovery:
         key = (node_id, shard)
         self.awaiting_seed.discard(key)
         deliver = self.rts._deliverer(node_id, shard)
+        replayed = 0
         for delivered in self._seed_buffer.pop(key, []):
             if delivered.seqno <= upto:
                 continue  # covered by the seed snapshot
             deliver(delivered)
+            replayed += 1
+        record = self._rejoin_record(node_id)
+        if record is not None:
+            record.deliveries_replayed += replayed
         self.rts.router.group_for(shard).member(node_id).resume_delivery(upto)
 
     def _hand_back_seats(self, proc: "SimProcess", recovered: int) -> int:

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.amoeba.broadcast.protocol import (
     KIND_BB_DATA,
+    KIND_DATA,
     KIND_RETRANSMIT,
+    DeliveredMessage,
     MessageId,
     OrderingEngine,
 )
@@ -40,23 +42,23 @@ def collect_deliveries(cluster):
 class TestOrderingEngine:
     def test_in_order_delivery(self):
         engine = OrderingEngine()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
-        engine.offer(2, 0, MessageId(0, 2), "b", 10)
+        engine.offer(DeliveredMessage(1, 0, MessageId(0, 1), "a", 10))
+        engine.offer(DeliveredMessage(2, 0, MessageId(0, 2), "b", 10))
         assert [d.payload for d in engine.pop_deliverable()] == ["a", "b"]
 
     def test_out_of_order_buffered(self):
         engine = OrderingEngine()
-        engine.offer(2, 0, MessageId(0, 2), "b", 10)
+        engine.offer(DeliveredMessage(2, 0, MessageId(0, 2), "b", 10))
         assert engine.pop_deliverable() == []
         assert engine.missing_seqnos() == [1]
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
+        engine.offer(DeliveredMessage(1, 0, MessageId(0, 1), "a", 10))
         assert [d.payload for d in engine.pop_deliverable()] == ["a", "b"]
 
     def test_duplicates_discarded(self):
         engine = OrderingEngine()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
+        engine.offer(DeliveredMessage(1, 0, MessageId(0, 1), "a", 10))
         engine.pop_deliverable()
-        engine.offer(1, 0, MessageId(0, 1), "a", 10)
+        engine.offer(DeliveredMessage(1, 0, MessageId(0, 1), "a", 10))
         assert engine.pop_deliverable() == []
         assert engine.duplicates == 1
 
@@ -80,7 +82,7 @@ class TestOrderingEngine:
         engine = OrderingEngine()
         delivered = []
         for seqno in order:
-            engine.offer(seqno, 0, MessageId(0, seqno), f"m{seqno}", 8)
+            engine.offer(DeliveredMessage(seqno, 0, MessageId(0, seqno), f"m{seqno}", 8))
             delivered.extend(d.seqno for d in engine.pop_deliverable())
         assert delivered == list(range(1, 11))
 
@@ -431,6 +433,62 @@ class TestCrossMemberRetransmission:
             cluster.run()
             assert group.stats.peer_retransmissions > 0
             assert log[2] == [(1, "only-via-peer")]
+
+
+class TestSharedSequencedRecord:
+    """One immutable record per sequenced message, shared by every holder."""
+
+    def test_every_member_holds_the_sequencers_record(self):
+        with make_cluster(4, method="pb") as cluster:
+            group = cluster.broadcast_group
+            handed = {}
+            for node in cluster.nodes:
+                group.set_delivery_handler(
+                    node.node_id, lambda d, nid=node.node_id: handed.setdefault(nid, d))
+            group.broadcast_from(2, payload=("x", 1), size=50)
+            cluster.run()
+            record = group.sequencer.history_entries()[1]
+            assert sorted(handed) == [0, 1, 2, 3]
+            for nid, member in group.members.items():
+                assert handed[nid] is record
+                assert member.lookup_entry(1) is record
+            with pytest.raises(AttributeError):
+                record.payload = ("y", 2)
+            with pytest.raises(AttributeError):
+                record.seqno = 7
+
+    def test_gap_delivers_in_order_exactly_once(self):
+        """A dropped data broadcast leaves a gap: the later message waits in
+        the buffer, the retransmission fills the hole, and a record that
+        arrives again is counted as a duplicate, not delivered twice."""
+        with make_cluster(3, method="pb") as cluster:
+            log = collect_deliveries(cluster)
+            group = cluster.broadcast_group
+            data_kind = group.wire_kind(KIND_DATA)
+            dropped = []
+
+            def drop_first_seqno_1(packet):
+                msg = packet.message
+                if msg.kind == data_kind and msg.payload.seqno == 1 and not dropped:
+                    dropped.append(msg)
+                    return True
+                return False
+
+            cluster.node(2).nic.drop_filter = drop_first_seqno_1
+            group.broadcast_from(1, payload="a", size=50)
+            group.broadcast_from(1, payload="b", size=50)
+            cluster.run()
+            member = group.member(2)
+            assert dropped
+            assert group.sequencer.retransmissions == 1
+            assert log[2] == [(1, "a"), (2, "b")]
+            assert member.engine.duplicates == 0
+            record = group.sequencer.history_entries()[1]
+            assert member.lookup_entry(1) is record
+            member.receive_sequenced(record)
+            assert member.engine.duplicates == 1
+            assert log[2] == [(1, "a"), (2, "b")]
+            assert group.delivered_counts() == {0: 2, 1: 2, 2: 2}
 
 
 class TestSequencerServiceModel:
